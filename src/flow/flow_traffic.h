@@ -37,7 +37,7 @@ struct FlowTrafficConfig {
 };
 
 // Flow-level (fluid) model of background cross-traffic on one WAN link —
-// the "hybrid fidelity" half of the sharded-simulation PR. Instead of
+// "hybrid fidelity": packet-level probes over a fluid background. Instead of
 // simulating every data packet of bulk transfers (~40 events per flow for
 // connection setup, data, ACK clocking, teardown), each background flow is
 // two events: a Poisson arrival and a completion computed from a
@@ -56,12 +56,11 @@ struct FlowTrafficConfig {
 // min-heap of targets and one rearmable timer give O(log n) per flow.
 //
 // Determinism: all draws come from the Rng passed at construction and all
-// events run on the Simulator passed at construction, so in a sharded run
-// the model is part of its owning cell's deterministic event stream.
+// events run on the Simulator passed at construction, so the model is part
+// of the experiment's deterministic event stream.
 class FlowLevelLoad {
  public:
-  // `link` must outlive this object. `rng` is borrowed; in sharded runs it
-  // must be the owning cell's stream.
+  // `link` must outlive this object. `rng` is borrowed.
   FlowLevelLoad(sim::Simulator& sim, net::Link& link,
                 FlowTrafficConfig config, sim::Rng& rng);
 

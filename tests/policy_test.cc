@@ -166,13 +166,5 @@ TEST(PolicyInstallTest, InstallersComposeWithTheLegacyExtensionSlot) {
             0u);
 }
 
-TEST(PolicyInstallTest, InstalledPoliciesRefuseShardedMode) {
-  auto config = small_world();
-  policy::apply_policy(config, parse_policy("static-iw50"));
-  config.sharding.enabled = true;
-  config.sharding.shards = 1;
-  EXPECT_THROW(cdn::Experiment{std::move(config)}, std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace riptide
