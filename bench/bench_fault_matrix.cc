@@ -100,9 +100,10 @@ std::vector<Scenario> default_matrix() {
   // every learned route, cools down, then re-learns.
   matrix.push_back({"gov-rollback", "@60 loss 0-1 0.3 20",
                     [](cdn::ExperimentConfig& config) {
-                      config.riptide.governor_rollback_retrans_fraction = 0.05;
-                      config.riptide.governor_min_packets = 50;
-                      config.riptide.governor_cooldown = sim::Time::seconds(10);
+                      auto& governor = config.riptide.governor;
+                      governor.rollback_retrans_fraction = 0.05;
+                      governor.min_packets = 50;
+                      governor.cooldown = sim::Time::seconds(10);
                     }});
   return matrix;
 }

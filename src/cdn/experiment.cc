@@ -109,7 +109,7 @@ void Experiment::build() {
       }
       agents_.push_back(std::make_unique<core::RiptideAgent>(
           sim_, *host, config_.riptide, std::move(programmer),
-          std::move(stats_source), rng_.get()));
+          std::move(stats_source)));
       agents_.back()->start();
     }
   }
@@ -129,9 +129,6 @@ void Experiment::build() {
         }
       });
 
-  if (config_.extension_factory) {
-    extension_ = config_.extension_factory(*this);
-  }
   for (const auto& factory : config_.extension_factories) {
     if (factory) extensions_.push_back(factory(*this));
   }

@@ -22,6 +22,22 @@ namespace riptide::cdn {
 
 class Experiment;
 
+// Something an extension factory attaches to an Experiment at the end of
+// build() (a faults::FaultHarness, a policy::PolicyInstallation). The
+// experiment owns it for its lifetime; callers find theirs again by type
+// with dynamic_cast over Experiment::extensions().
+class Extension {
+ public:
+  virtual ~Extension() = default;
+
+ protected:
+  Extension() = default;
+  Extension(const Extension&) = default;
+  Extension& operator=(const Extension&) = default;
+  Extension(Extension&&) = default;
+  Extension& operator=(Extension&&) = default;
+};
+
 // Hybrid-fidelity cross-traffic: fluid (flow-level) background load on WAN
 // links while probe/organic traffic stays packet-level. One
 // flow::FlowLevelLoad per outgoing WAN link of each source PoP.
@@ -90,15 +106,11 @@ struct ExperimentConfig {
   std::function<std::unique_ptr<core::SocketStatsSource>(Experiment&,
                                                          host::Host&)>
       socket_stats_factory;
-  // Called once at the end of build(), after agents exist and started; the
-  // result is retained for the experiment's lifetime (see extension()).
-  std::function<std::shared_ptr<void>(Experiment&)> extension_factory;
-  // Additional extensions, run after extension_factory in vector order.
-  // Unlike the single slot above — which faults::FaultHarness::install
-  // claims for itself — these compose: policy installers (src/policy) and
-  // a fault harness can ride the same experiment. Results are retained
-  // for the experiment's lifetime (see extensions()).
-  std::vector<std::function<std::shared_ptr<void>(Experiment&)>>
+  // Called in vector order at the end of build(), after agents exist and
+  // started. Policy installers (src/policy) append here; a fault harness
+  // inserts itself at the front so it is built before them. Results are
+  // retained for the experiment's lifetime (see extensions()).
+  std::vector<std::function<std::unique_ptr<Extension>(Experiment&)>>
       extension_factories;
 };
 
@@ -139,11 +151,8 @@ class Experiment {
     return agents_;
   }
 
-  // Whatever extension_factory attached (e.g. a faults::FaultHarness);
-  // null when no factory was configured.
-  const std::shared_ptr<void>& extension() const { return extension_; }
   // Results of extension_factories, in factory order.
-  const std::vector<std::shared_ptr<void>>& extensions() const {
+  const std::vector<std::unique_ptr<Extension>>& extensions() const {
     return extensions_;
   }
 
@@ -175,8 +184,7 @@ class Experiment {
   std::vector<std::unique_ptr<FlashCrowdSource>> flash_crowd_sources_;
   std::vector<std::unique_ptr<flow::FlowLevelLoad>> flow_loads_;
   std::vector<std::unique_ptr<core::RiptideAgent>> agents_;
-  std::shared_ptr<void> extension_;
-  std::vector<std::shared_ptr<void>> extensions_;
+  std::vector<std::unique_ptr<Extension>> extensions_;
   std::unique_ptr<trace::TraceSink> trace_sink_;
 };
 

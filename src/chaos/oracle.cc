@@ -88,7 +88,7 @@ void check_poll(core::RiptideAgent& agent, const core::PollOutcome& outcome,
   // by half a segment) and the floor-at-1 of tiny budgets. Skipped while
   // actuator retries are pending: a failed scale-down legitimately
   // leaves the old (larger) window installed until the retry lands.
-  const std::uint32_t budget = agent.config().governor_budget_segments;
+  const std::uint32_t budget = agent.config().governor.budget_segments;
   if (budget > 0 && agent.pending_actuator_ops() == 0) {
     std::uint64_t total = 0;
     for (const auto& [prefix, metrics] : agent.installed_routes()) {

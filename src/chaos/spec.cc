@@ -288,7 +288,7 @@ cdn::ExperimentConfig ChaosSpec::to_config() const {
       config.riptide.checkpoint_interval = sim::Time::seconds(5);
     }
     if (budget_override > 0) {
-      config.riptide.governor_budget_segments = budget_override;
+      config.riptide.governor.budget_segments = budget_override;
     }
     if (break_hook == "budget") {
       config.riptide.test_skip_budget_enforcement = true;

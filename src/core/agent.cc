@@ -5,7 +5,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "host/ss_format.h"
 #include "trace/sink.h"
 
 namespace riptide::core {
@@ -13,8 +12,7 @@ namespace riptide::core {
 RiptideAgent::RiptideAgent(sim::Simulator& sim, host::Host& host,
                            RiptideConfig config,
                            std::unique_ptr<RouteProgrammer> programmer,
-                           std::unique_ptr<SocketStatsSource> stats_source,
-                           sim::Rng* rng)
+                           std::unique_ptr<SocketStatsSource> stats_source)
     : sim_(sim),
       host_(host),
       config_(config),
@@ -24,8 +22,7 @@ RiptideAgent::RiptideAgent(sim::Simulator& sim, host::Host& host,
                         ? std::move(stats_source)
                         : std::make_unique<HostSocketStatsSource>(host)),
       combiner_(make_combiner(config.combiner)),
-      rng_(rng),
-      governor_(governor_config(config)) {
+      governor_(config.governor) {
   if (config_.alpha < 0.0 || config_.alpha > 1.0) {
     throw std::invalid_argument("RiptideAgent: alpha outside [0, 1]");
   }
@@ -36,63 +33,6 @@ RiptideAgent::RiptideAgent(sim::Simulator& sim, host::Host& host,
       (config_.prefix_length < 1 || config_.prefix_length > 32)) {
     throw std::invalid_argument("RiptideAgent: bad prefix_length");
   }
-  if (config_.poll_jitter_fraction < 0.0 ||
-      config_.poll_jitter_fraction > 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: poll_jitter_fraction outside [0, 1]");
-  }
-  if (config_.poll_jitter_fraction > 0.0 && rng_ == nullptr) {
-    throw std::invalid_argument("RiptideAgent: poll jitter requires an Rng");
-  }
-  if (config_.staleness_decay <= 0.0 || config_.staleness_decay >= 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: staleness_decay outside (0, 1)");
-  }
-  if (config_.staleness_retrans_fraction <= 0.0 ||
-      config_.staleness_retrans_fraction > 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: staleness_retrans_fraction outside (0, 1]");
-  }
-  if (config_.governor_rollback_retrans_fraction < 0.0 ||
-      config_.governor_rollback_retrans_fraction > 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: governor_rollback_retrans_fraction outside [0, 1]");
-  }
-  if (config_.governor_stage_scale_factor <= 0.0 ||
-      config_.governor_stage_scale_factor >= 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: governor_stage_scale_factor outside (0, 1)");
-  }
-  if (config_.governor_stage_withdraw_fraction <= 0.0 ||
-      config_.governor_stage_withdraw_fraction > 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: governor_stage_withdraw_fraction outside (0, 1]");
-  }
-  if (config_.governor_storm_backoff_factor < 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: governor_storm_backoff_factor below 1");
-  }
-  if (config_.governor_max_cooldown < config_.governor_cooldown) {
-    throw std::invalid_argument(
-        "RiptideAgent: governor_max_cooldown below governor_cooldown");
-  }
-}
-
-GovernorConfig RiptideAgent::governor_config(const RiptideConfig& config) {
-  return GovernorConfig{
-      .budget_segments = config.governor_budget_segments,
-      .budget_fairness = config.governor_budget_fairness,
-      .hysteresis_segments = config.governor_hysteresis_segments,
-      .rollback_retrans_fraction = config.governor_rollback_retrans_fraction,
-      .min_packets = config.governor_min_packets,
-      .cooldown = config.governor_cooldown,
-      .staged_response = config.governor_staged_response,
-      .stage_scale_factor = config.governor_stage_scale_factor,
-      .stage_withdraw_fraction = config.governor_stage_withdraw_fraction,
-      .storm_backoff_factor = config.governor_storm_backoff_factor,
-      .max_cooldown = config.governor_max_cooldown,
-      .storm_memory = config.governor_storm_memory,
-  };
 }
 
 void RiptideAgent::start() {
@@ -101,7 +41,7 @@ void RiptideAgent::start() {
   if (started_once_) ++stats_.restarts;
   started_once_ = true;
 
-  if (config_.adopt_routes_on_start) adopt_existing_routes();
+  adopt_existing_routes();
 
   // Governor deltas measure from process start, not from a predecessor's
   // last poll: whatever retransmissions accumulated while this process
@@ -109,15 +49,7 @@ void RiptideAgent::start() {
   prev_host_retrans_ = host_.total_retransmissions();
   prev_host_packets_ = host_.stats().packets_sent;
 
-  // Deterministic per-agent phase offset: co-located agents started at the
-  // same instant otherwise poll — and program routes — in lockstep.
-  sim::Time phase = sim::Time::zero();
-  if (config_.poll_jitter_fraction > 0.0) {
-    phase = sim::Time::from_seconds(config_.poll_jitter_fraction *
-                                    config_.update_interval.to_seconds() *
-                                    rng_->uniform(0.0, 1.0));
-  }
-  poll_timer_ = sim_.schedule_periodic(config_.update_interval + phase,
+  poll_timer_ = sim_.schedule_periodic(config_.update_interval,
                                        config_.update_interval,
                                        [this] { poll_once(); });
 }
@@ -137,7 +69,7 @@ void RiptideAgent::crash() {
   table_ = ObservedTable{};
   seen_counters_.clear();
   installed_.clear();
-  governor_ = SafetyGovernor{governor_config(config_)};
+  governor_ = SafetyGovernor{config_.governor};
   ++stats_.crashes;
 }
 
@@ -304,7 +236,7 @@ void RiptideAgent::handle_actuator_failure(const net::Prefix& dst,
   op.initrwnd = initrwnd;
   op.clear = clear;
   ++op.attempts;
-  if (op.attempts > config_.actuator_max_retries) {
+  if (op.attempts > kActuatorMaxRetries) {
     ++stats_.actuator_dead_letters;
     pending_ops_.erase(dst);
     return;
@@ -312,8 +244,7 @@ void RiptideAgent::handle_actuator_failure(const net::Prefix& dst,
   ++stats_.actuator_retries;
   const int shift = static_cast<int>(std::min<std::uint32_t>(
       op.attempts - 1, 16));  // cap the doubling: backoff stays finite
-  const sim::Time backoff =
-      config_.actuator_backoff * (std::int64_t{1} << shift);
+  const sim::Time backoff = kActuatorBackoff * (std::int64_t{1} << shift);
   op.timer = sim_.schedule(backoff, [this, dst] { retry_pending(dst); });
 }
 
@@ -387,15 +318,14 @@ void RiptideAgent::apply_staleness_guard(
     sim::Time now) {
   for (const auto& [dst, delta] : deltas) {
     const auto& [d_retrans, d_sent] = delta;
-    if (d_sent < config_.staleness_min_segments) continue;
+    if (d_sent < kStalenessMinSegments) continue;
     if (static_cast<double>(d_retrans) <
-        config_.staleness_retrans_fraction * static_cast<double>(d_sent)) {
+        kStalenessRetransFraction * static_cast<double>(d_sent)) {
       continue;
     }
     const DestinationState* state = table_.find(dst);
     if (state == nullptr) continue;
-    const double decayed =
-        state->final_window_segments * config_.staleness_decay;
+    const double decayed = state->final_window_segments * kStalenessDecay;
     if (decayed <= static_cast<double>(config_.c_min)) {
       // The learned window has decayed to the floor and the path is still
       // hurting: withdraw outright, restoring the default initial window.
@@ -504,9 +434,7 @@ PollOutcome RiptideAgent::poll_once_impl() {
   }
   outcome.snapshot_ok = true;
 
-  // 2. Group by destination. Either read the snapshot directly or go
-  // through the textual `ss` round-trip, exactly as the paper's
-  // user-space script does. Observations are collected into one flat
+  // 2. Group by destination. Observations are collected into one flat
   // scratch buffer and stably sorted by destination, so each group is a
   // contiguous run handed to the combiner as a span — the former
   // map<Prefix, vector<Observation>> cost a node allocation plus a vector
@@ -514,25 +442,13 @@ PollOutcome RiptideAgent::poll_once_impl() {
   // within a destination, so combiner input order (and therefore float
   // summation order) is exactly what the map grouping produced.
   poll_scratch_.clear();
-  if (config_.via_text_interface) {
-    const std::string text = host::format_socket_stats(snapshot);
-    for (const auto& info : host::parse_socket_stats(text)) {
-      if (info.state != tcp::TcpState::kEstablished) continue;
-      ++stats_.connections_observed;
-      poll_scratch_.push_back(
-          {destination_key(info.remote_addr),
-           Observation{static_cast<double>(info.cwnd_segments),
-                       info.bytes_acked}});
-    }
-  } else {
-    for (const auto& info : snapshot) {
-      if (info.state != tcp::TcpState::kEstablished) continue;
-      ++stats_.connections_observed;
-      poll_scratch_.push_back(
-          {destination_key(info.tuple.remote_addr),
-           Observation{static_cast<double>(info.cwnd_segments),
-                       info.bytes_acked}});
-    }
+  for (const auto& info : snapshot) {
+    if (info.state != tcp::TcpState::kEstablished) continue;
+    ++stats_.connections_observed;
+    poll_scratch_.push_back(
+        {destination_key(info.tuple.remote_addr),
+         Observation{static_cast<double>(info.cwnd_segments),
+                     info.bytes_acked}});
   }
   std::stable_sort(poll_scratch_.begin(), poll_scratch_.end(),
                    [](const DestObservation& a, const DestObservation& b) {
@@ -543,8 +459,6 @@ PollOutcome RiptideAgent::poll_once_impl() {
   for (const auto& d : poll_scratch_) poll_observations_.push_back(d.obs);
 
   // Retransmit-rate deltas for the staleness guard (empty when disabled).
-  // Computed from the snapshot either way: the text format round-trips
-  // retrans/segs_out, so both surfaces carry identical information.
   const auto deltas = retransmit_deltas(snapshot);
 
   // 3-4. Combine, fold history, clamp. Programming is deferred until all
@@ -563,27 +477,10 @@ PollOutcome RiptideAgent::poll_once_impl() {
     const std::span<const Observation> observations(
         poll_observations_.data() + i, j - i);
     i = j;
-    if (observations.size() < config_.min_samples) continue;
     const double observed = combiner_->combine(observations);
-
-    // Trend guard (§V): a cliff-drop of the observation signals an
-    // incident — reset the learned window instead of gliding down. The
-    // fold is hoisted above the branch (it refreshes the TTL either way
-    // and does not touch the stored final value of an existing entry).
-    const DestinationState* previous = table_.find(destination);
     const double folded =
         table_.fold(destination, observed, config_.alpha, now);
-    bool trend_reset = false;
-    double final_window;
-    if (config_.trend_guard && previous != nullptr &&
-        observed < previous->final_window_segments *
-                       (1.0 - config_.trend_drop_fraction)) {
-      final_window = static_cast<double>(config_.c_min);
-      trend_reset = true;
-      ++stats_.trend_resets;
-    } else {
-      final_window = clamp_window(folded);
-    }
+    double final_window = clamp_window(folded);
     // Operator cap (§V): external signals bound how aggressive we may be.
     bool capped = false;
     if (window_cap_segments_ > 0 &&
@@ -601,7 +498,6 @@ PollOutcome RiptideAgent::poll_once_impl() {
       ev.decision = {host_.address().value(),
                      destination.address().value(),
                      static_cast<std::uint8_t>(destination.length()),
-                     static_cast<std::uint8_t>(trend_reset),
                      static_cast<std::uint8_t>(capped),
                      static_cast<std::uint32_t>(observations.size()),
                      observed,
@@ -821,7 +717,7 @@ RiptideAgent::budget_shed_admissions() const {
 
 void RiptideAgent::staged_scale_down(GovernorState from,
                                      double retrans_fraction) {
-  // Stage 1: keep every route but halve (by stage_scale_factor) what it
+  // Stage 1: keep every route but halve (by kStageScaleFactor) what it
   // may burst. The learned table keeps the unscaled values: a healthy
   // window next poll reprograms them at full size. Collect first —
   // program_route mutates installed_.
@@ -829,8 +725,7 @@ void RiptideAgent::staged_scale_down(GovernorState from,
   for (const auto& [destination, metrics] : installed_) {
     const auto target = std::max<std::uint32_t>(
         1, static_cast<std::uint32_t>(
-               std::lround(metrics.initcwnd_segments *
-                           governor_.config().stage_scale_factor)));
+               std::lround(metrics.initcwnd_segments * kStageScaleFactor)));
     if (target < metrics.initcwnd_segments) {
       scaled.emplace_back(destination, target);
     }
@@ -839,7 +734,7 @@ void RiptideAgent::staged_scale_down(GovernorState from,
     const std::uint32_t initrwnd =
         config_.set_initrwnd ? std::max(config_.c_max, initcwnd) : 0;
     trace_program(trace::ProgramVerdict::kStageScaleDown, destination,
-                  governor_.config().stage_scale_factor, initcwnd, initrwnd);
+                  kStageScaleFactor, initcwnd, initrwnd);
     program_route(destination, initcwnd, initrwnd);
   }
   ++stats_.governor_stage_scaledowns;
@@ -852,7 +747,7 @@ void RiptideAgent::staged_scale_down(GovernorState from,
 void RiptideAgent::staged_selective_withdraw(GovernorState from,
                                              double retrans_fraction) {
   // Stage 2: the scale-down was not enough — withdraw the newest
-  // stage_withdraw_fraction of installed routes entirely (their learned
+  // kStageWithdrawFraction of installed routes entirely (their learned
   // entries too, so the next poll re-learns instead of instantly
   // reprogramming the same window). Newest first: fresh routes are both
   // the least proven and the likeliest cause of a synchronized burst.
@@ -881,7 +776,7 @@ void RiptideAgent::staged_selective_withdraw(GovernorState from,
       candidates.size(),
       static_cast<std::size_t>(
           std::ceil(static_cast<double>(candidates.size()) *
-                    governor_.config().stage_withdraw_fraction)));
+                    kStageWithdrawFraction)));
   for (std::size_t i = 0; i < count; ++i) {
     const net::Prefix destination = candidates[i].destination;
     table_.erase(destination);

@@ -14,7 +14,6 @@
 #include "core/route_programmer.h"
 #include "core/socket_stats_source.h"
 #include "host/host.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 #include "trace/event.h"
 
@@ -26,7 +25,6 @@ struct AgentStats {
   std::uint64_t destinations_updated = 0;
   std::uint64_t routes_set = 0;
   std::uint64_t routes_expired = 0;
-  std::uint64_t trend_resets = 0;  // trend-guard triggered (§V)
 
   // -- degradation paths (agent hardening) --
   std::uint64_t polls_failed = 0;         // snapshot unavailable, skipped
@@ -102,17 +100,35 @@ struct PollOutcome {
 // meets a path that can no longer carry it.
 class RiptideAgent {
  public:
+  // Actuator retry: a failed program/clear is retried after
+  // kActuatorBackoff, doubling per attempt, up to kActuatorMaxRetries
+  // times; ops still failing after that are dropped as dead letters. A
+  // later successful program for the destination cancels the retry.
+  static constexpr std::uint32_t kActuatorMaxRetries = 4;
+  static constexpr sim::Time kActuatorBackoff = sim::Time::milliseconds(100);
+
+  // Staleness guard (config.staleness_guard): a destination that sent at
+  // least kStalenessMinSegments segments since the previous poll, of which
+  // at least kStalenessRetransFraction were retransmissions, has its
+  // learned window multiplied by kStalenessDecay.
+  static constexpr double kStalenessRetransFraction = 0.2;
+  static constexpr std::uint32_t kStalenessMinSegments = 20;
+  static constexpr double kStalenessDecay = 0.5;
+
+  // Staged governor ladder: stage 1 scales every installed window by
+  // kStageScaleFactor; stage 2 withdraws the newest kStageWithdrawFraction
+  // of the installed routes.
+  static constexpr double kStageScaleFactor = 0.5;
+  static constexpr double kStageWithdrawFraction = 0.5;
+
   // If `programmer` is null, a HostRouteProgrammer on `host` is used; if
   // `stats_source` is null, the host's in-memory `ss` surface is used.
-  // `rng` is only required when config.poll_jitter_fraction > 0.
   RiptideAgent(sim::Simulator& sim, host::Host& host, RiptideConfig config,
                std::unique_ptr<RouteProgrammer> programmer = nullptr,
-               std::unique_ptr<SocketStatsSource> stats_source = nullptr,
-               sim::Rng* rng = nullptr);
+               std::unique_ptr<SocketStatsSource> stats_source = nullptr);
 
-  // Begins periodic polling (first poll after one update_interval, plus
-  // the configured jitter phase). Adopts leftover Riptide routes from the
-  // host routing table when config.adopt_routes_on_start.
+  // Begins periodic polling (first poll after one update_interval), after
+  // adopting leftover Riptide routes from the host routing table.
   void start();
   void stop();
   bool running() const { return running_; }
@@ -224,7 +240,6 @@ class RiptideAgent {
     sim::EventHandle timer;
   };
 
-  static GovernorConfig governor_config(const RiptideConfig& config);
   PollOutcome poll_once_impl();
   double clamp_window(double value) const;
   // -- decision-audit tracing (src/trace) --
@@ -271,7 +286,6 @@ class RiptideAgent {
   std::unique_ptr<RouteProgrammer> programmer_;
   std::unique_ptr<SocketStatsSource> stats_source_;
   std::unique_ptr<Combiner> combiner_;
-  sim::Rng* rng_ = nullptr;
   ObservedTable table_;
   sim::EventHandle poll_timer_;
   PostPollHook post_poll_hook_;

@@ -62,128 +62,29 @@ struct RiptideConfig {
   // agent's routes carry no CC opinion unless a policy asks for one.
   tcp::RouteCc route_cc = tcp::RouteCc::kUnset;
 
-  // Minimum connections observed toward a destination before programming a
-  // route for it.
-  std::uint32_t min_samples = 1;
-
-  // §V "Additional Algorithms": trend guard. A sharp fall of the combined
-  // observation relative to the stored value — more than
-  // `trend_drop_fraction` in one poll — signals a network incident; rather
-  // than letting the EWMA glide down over many intervals, the learned
-  // window is reset to c_min immediately ("aggressively decrease the
-  // initial windows, beyond what is happening to existing connections").
-  bool trend_guard = false;
-  double trend_drop_fraction = 0.5;
-
-  // Observe connections through the textual `ss` round-trip (format, then
-  // parse) instead of the in-memory snapshot. Functionally identical by
-  // construction — the paper's tool is exactly such a text-scraping
-  // script — and kept as an option to prove the text surface suffices.
-  bool via_text_interface = false;
-
-  // ------------------------------------------------------------------
-  // Hardening knobs (robustness under network and actuator failures).
-  // Defaults are chosen so a fault-free run behaves bit-identically to an
-  // agent without any of this machinery: the retry path only activates on
-  // actuator failures, adoption only sees routes a crashed predecessor
-  // left behind, and the guards/jitter default off.
-  // ------------------------------------------------------------------
-
-  // Actuator retry: a failed set_initial_windows/clear is retried with
-  // exponential backoff (actuator_backoff, doubling per attempt) up to
-  // actuator_max_retries times; ops still failing after that are dropped
-  // and counted as dead letters. A later successful poll for the same
-  // destination cancels the pending retry (the fresh value supersedes it).
-  std::uint32_t actuator_max_retries = 4;
-  sim::Time actuator_backoff = sim::Time::milliseconds(100);
-
   // Staleness guard: a destination whose connections show an elevated
   // retransmit rate while a learned window is installed is on a path that
   // no longer supports that window (path change, loss burst). Each poll
-  // where retrans/segments-sent exceeds `staleness_retrans_fraction`
-  // (judged only once at least `staleness_min_segments` segments were
-  // sent since the previous poll), the learned window is decayed by
-  // `staleness_decay`; at or below c_min the route is withdrawn outright,
-  // restoring the default initial window.
+  // where the destination's retransmit fraction crosses the threshold, the
+  // learned window is decayed; at or below c_min the route is withdrawn
+  // outright, restoring the default initial window (thresholds:
+  // RiptideAgent::kStaleness*).
   bool staleness_guard = false;
-  double staleness_retrans_fraction = 0.2;
-  std::uint32_t staleness_min_segments = 20;
-  double staleness_decay = 0.5;
-
-  // Deterministic per-agent poll phase jitter, as a fraction of
-  // update_interval, drawn once at start() from the experiment RNG so
-  // co-located agents don't poll and program routes in lockstep. 0 (the
-  // default) keeps the exact historical schedule; > 0 requires the agent
-  // to be constructed with an Rng.
-  double poll_jitter_fraction = 0.0;
-
-  // On start(), adopt routes with a nonzero initcwnd already present in
-  // the host routing table into the observed table (aged from now). A
-  // fresh host has none, so this is free in normal runs; after a crash it
-  // puts the predecessor's leftover routes back under TTL control instead
-  // of letting stale windows live forever.
-  bool adopt_routes_on_start = true;
-
-  // ------------------------------------------------------------------
-  // Durable state and the safety governor. Same contract as the knobs
-  // above: every default is "off", and an off-knob run is bit-identical
-  // to an agent that doesn't have the machinery at all.
-  // ------------------------------------------------------------------
 
   // How often the agent's learned state is checkpointed to a snapshot
   // store (harnesses read this to decide whether to attach an
   // AgentCheckpointer). Zero disables persistence entirely.
   sim::Time checkpoint_interval = sim::Time::zero();
-  // Snapshot generations to retain; ≥ 2 so a corrupted newest snapshot
-  // still leaves a fallback.
-  std::uint32_t checkpoint_keep = 2;
 
   // Each poll, diff the host routing table against what this agent
   // believes it installed: repair routes an outside actor deleted or
   // mangled, withdraw learned-looking routes nobody owns.
   bool reconcile_routes = false;
 
-  // Host-wide budget on the sum of installed initcwnds, in segments.
-  // When the total the agent wants exceeds it, every programmed window
-  // is scaled down proportionally (the learned table keeps the unscaled
-  // values). 0 = unlimited.
-  std::uint32_t governor_budget_segments = 0;
-
-  // Route-churn damping: skip reprogramming a destination whose desired
-  // initcwnd is within this many segments of what is already installed.
-  // 0 = program every poll (historical behavior).
-  std::uint32_t governor_hysteresis_segments = 0;
-
-  // Emergency rollback: when the host-wide retransmission rate since the
-  // previous poll exceeds this fraction of packets sent (judged only
-  // once `governor_min_packets` were sent in the window), the governor
-  // withdraws every learned route and sits out `governor_cooldown`
-  // before re-learning from scratch. 0 disables the rollback path.
-  double governor_rollback_retrans_fraction = 0.0;
-  std::uint64_t governor_min_packets = 100;
-  sim::Time governor_cooldown = sim::Time::seconds(30);
-
-  // Budget enforcement flavor: proportional scale-down (historical
-  // default) or newest-first shedding, where senior routes keep their
-  // full windows and the freshest ones fall back to the default initial
-  // window until the total fits the budget.
-  BudgetFairness governor_budget_fairness = BudgetFairness::kProportional;
-
-  // Staged response (see GovernorConfig): instead of the all-or-nothing
-  // rollback, escalate scale-down → selective withdraw → rollback, one
-  // stage per consecutive over-threshold poll. Off by default; only
-  // meaningful with governor_rollback_retrans_fraction > 0.
-  bool governor_staged_response = false;
-  double governor_stage_scale_factor = 0.5;
-  double governor_stage_withdraw_fraction = 0.5;
-
-  // Rollback-storm hysteresis (see GovernorConfig): a backoff factor > 1
-  // grows the cooldown multiplicatively when rollbacks re-trip within
-  // governor_storm_memory of the previous cooldown's end, capped at
-  // governor_max_cooldown. 1.0 keeps every cooldown at governor_cooldown.
-  double governor_storm_backoff_factor = 1.0;
-  sim::Time governor_max_cooldown = sim::Time::seconds(480);
-  sim::Time governor_storm_memory = sim::Time::seconds(120);
+  // The host-wide safety governor (budget, hysteresis, rollback, staged
+  // ladder, storm backoff). Every default is off: a default governor
+  // leaves the agent bit-identical to one without it.
+  GovernorConfig governor{};
 
   // Test-only fault hook: silently skip the governor's budget enforcement
   // (both the proportional scale-down and the shed-newest admission pass)

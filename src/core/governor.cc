@@ -1,6 +1,7 @@
 #include "core/governor.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace riptide::core {
 
@@ -16,6 +17,20 @@ const char* to_string(GovernorState state) {
       return "cooldown";
   }
   return "unknown";
+}
+
+SafetyGovernor::SafetyGovernor(GovernorConfig config) : config_(config) {
+  if (config_.rollback_retrans_fraction < 0.0 ||
+      config_.rollback_retrans_fraction > 1.0) {
+    throw std::invalid_argument(
+        "SafetyGovernor: rollback_retrans_fraction outside [0, 1]");
+  }
+  if (config_.storm_backoff_factor < 1.0) {
+    throw std::invalid_argument("SafetyGovernor: storm_backoff_factor below 1");
+  }
+  if (config_.max_cooldown < config_.cooldown) {
+    throw std::invalid_argument("SafetyGovernor: max_cooldown below cooldown");
+  }
 }
 
 bool SafetyGovernor::over_threshold(std::uint64_t retrans_delta,

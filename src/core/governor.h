@@ -64,16 +64,12 @@ struct GovernorConfig {
 
   // -- staged response (proportional, per-route degradation) --
   // Instead of the all-or-nothing host rollback, escalate one stage per
-  // consecutive over-threshold poll: scale every installed window down
-  // (stage 1), withdraw the newest routes (stage 2), then the full
-  // rollback + cooldown (stage 3). Any healthy poll de-escalates straight
-  // back to kNormal. Off (the default) keeps the historical single-stage
-  // behavior bit-identical.
+  // consecutive over-threshold poll: halve every installed window
+  // (stage 1), withdraw the newest half of the routes (stage 2), then the
+  // full rollback + cooldown (stage 3). Any healthy poll de-escalates
+  // straight back to kNormal. Off (the default) keeps the historical
+  // single-stage behavior bit-identical.
   bool staged_response = false;
-  // Stage 1 multiplier applied to every installed initcwnd.
-  double stage_scale_factor = 0.5;
-  // Stage 2: fraction of installed routes withdrawn, newest first.
-  double stage_withdraw_fraction = 0.5;
 
   // -- rollback-storm hysteresis --
   // > 1 enables it: a rollback re-armed within `storm_memory` of the
@@ -113,7 +109,10 @@ struct GovernorConfig {
 class SafetyGovernor {
  public:
   SafetyGovernor() = default;
-  explicit SafetyGovernor(GovernorConfig config) : config_(config) {}
+  // Throws std::invalid_argument when a knob is out of range:
+  // rollback_retrans_fraction outside [0, 1], storm_backoff_factor below
+  // 1, or max_cooldown below cooldown.
+  explicit SafetyGovernor(GovernorConfig config);
 
   bool rollback_enabled() const {
     return config_.rollback_retrans_fraction > 0.0;

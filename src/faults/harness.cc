@@ -6,6 +6,10 @@ namespace riptide::faults {
 
 namespace {
 
+// Snapshot generations each agent's store retains: two, so a corrupted
+// newest snapshot still leaves a fallback.
+constexpr std::size_t kCheckpointKeep = 2;
+
 // Distinct fork salts for the two decorator streams on one host.
 constexpr std::uint64_t kActuatorSalt = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kPollSalt = 0xc2b2ae3d27d4eb4full;
@@ -32,13 +36,20 @@ void FaultHarness::install(cdn::ExperimentConfig& config, FaultPlan plan) {
         std::make_unique<core::HostSocketStatsSource>(h),
         decorator_rng(e, h, kPollSalt));
   };
-  config.extension_factory = [plan = std::move(plan)](cdn::Experiment& e) {
-    return std::shared_ptr<void>(new FaultHarness(e, plan));
-  };
+  config.extension_factories.insert(
+      config.extension_factories.begin(),
+      [plan = std::move(plan)](cdn::Experiment& e) {
+        return std::unique_ptr<cdn::Extension>(new FaultHarness(e, plan));
+      });
 }
 
 FaultHarness* FaultHarness::from(const cdn::Experiment& experiment) {
-  return static_cast<FaultHarness*>(experiment.extension().get());
+  for (const auto& extension : experiment.extensions()) {
+    if (auto* harness = dynamic_cast<FaultHarness*>(extension.get())) {
+      return harness;
+    }
+  }
+  return nullptr;
 }
 
 FaultHarness::FaultHarness(cdn::Experiment& experiment, FaultPlan plan) {
@@ -58,7 +69,7 @@ FaultHarness::FaultHarness(cdn::Experiment& experiment, FaultPlan plan) {
       // outside the agent, so they survive agent crash()/start() cycles
       // exactly as files on disk survive a process.
       stores_.push_back(std::make_unique<persist::MemorySnapshotStore>(
-          riptide.checkpoint_keep));
+          kCheckpointKeep));
       checkpointers_.push_back(std::make_unique<persist::AgentCheckpointer>(
           experiment.simulator(), *agent, *stores_.back(),
           persist::CheckpointerConfig{riptide.checkpoint_interval}));

@@ -19,7 +19,9 @@ namespace riptide::faults {
 // deterministic per host and independent of the workload), and the
 // extension factory builds the harness itself — which discovers the
 // decorators on the constructed agents, registers them with a
-// FaultInjector, and arms the plan.
+// FaultInjector, and arms the plan. The harness factory goes to the front
+// of config.extension_factories, so the harness is built before any
+// policy installer.
 //
 //   cdn::ExperimentConfig config = ...;
 //   faults::FaultHarness::install(config, faults::FaultPlan::parse(spec));
@@ -29,7 +31,7 @@ namespace riptide::faults {
 //
 // Everything lives on the config by value/std::function, so configs remain
 // copyable across sweep workers with no shared mutable state.
-class FaultHarness {
+class FaultHarness : public cdn::Extension {
  public:
   // Wires the decorators and the plan into `config`. The plan may be
   // empty (decorators installed but inert) — useful for bit-identity
@@ -37,9 +39,7 @@ class FaultHarness {
   static void install(cdn::ExperimentConfig& config, FaultPlan plan);
 
   // The harness attached by install()'s extension factory, or null when
-  // the experiment was built without one. The extension slot is assumed
-  // to be harness-owned: only call this on experiments configured via
-  // install().
+  // the experiment was built without one.
   static FaultHarness* from(const cdn::Experiment& experiment);
 
   FaultInjector& injector() { return *injector_; }

@@ -125,18 +125,18 @@ PolicySpec parse_policy(const std::string& full_text) {
 }
 
 void arm_recommended_governor(core::RiptideConfig& riptide) {
-  riptide.governor_budget_segments = 300;
-  riptide.governor_budget_fairness = core::BudgetFairness::kShedNewest;
-  riptide.governor_hysteresis_segments = 2;
-  riptide.governor_rollback_retrans_fraction = 0.05;
-  riptide.governor_min_packets = 200;
-  riptide.governor_cooldown = sim::Time::seconds(20);
-  riptide.governor_staged_response = true;
-  riptide.governor_stage_scale_factor = 0.5;
-  riptide.governor_stage_withdraw_fraction = 0.5;
-  riptide.governor_storm_backoff_factor = 2.0;
-  riptide.governor_max_cooldown = sim::Time::seconds(160);
-  riptide.governor_storm_memory = sim::Time::seconds(60);
+  riptide.governor = core::GovernorConfig{
+      .budget_segments = 300,
+      .budget_fairness = core::BudgetFairness::kShedNewest,
+      .hysteresis_segments = 2,
+      .rollback_retrans_fraction = 0.05,
+      .min_packets = 200,
+      .cooldown = sim::Time::seconds(20),
+      .staged_response = true,
+      .storm_backoff_factor = 2.0,
+      .max_cooldown = sim::Time::seconds(160),
+      .storm_memory = sim::Time::seconds(60),
+  };
 }
 
 namespace {
@@ -239,8 +239,9 @@ void apply_policy(cdn::ExperimentConfig& config, const PolicySpec& spec) {
     case PolicyKind::kOracle:
       config.riptide_enabled = false;
       config.extension_factories.push_back(
-          [spec](cdn::Experiment& experiment) -> std::shared_ptr<void> {
-            auto result = std::make_shared<PolicyInstallation>();
+          [spec](cdn::Experiment& experiment)
+              -> std::unique_ptr<cdn::Extension> {
+            auto result = std::make_unique<PolicyInstallation>();
             result->spec = spec;
             result->routes_installed =
                 spec.kind == PolicyKind::kStaticIw

@@ -53,9 +53,9 @@ std::string to_string(const PolicySpec& spec);
 // surface.
 PolicySpec parse_policy(const std::string& text);
 
-// What a policy installer did at build time; retrieve from
-// Experiment::extensions() (std::static_pointer_cast<PolicyInstallation>).
-struct PolicyInstallation {
+// What a policy installer did at build time; find it among
+// Experiment::extensions() with dynamic_cast.
+struct PolicyInstallation : cdn::Extension {
   PolicySpec spec;
   std::size_t routes_installed = 0;
 };

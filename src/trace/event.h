@@ -132,7 +132,6 @@ struct AgentDecisionEvent {
   std::uint32_t host;        // agent's host address
   std::uint32_t route_addr;  // destination prefix
   std::uint8_t route_len;
-  std::uint8_t trend_reset;  // trend guard fired (final forced to c_min)
   std::uint8_t capped;       // operator window cap bound the result
   std::uint32_t samples;     // established connections combined
   double combined;           // combiner output (raw cwnd summary)

@@ -165,12 +165,11 @@ std::string to_json(const TraceEvent& e) {
       append(out,
              ",\"host\":\"%s\",\"route\":\"%s\",\"samples\":%u,"
              "\"combined\":%.17g,\"folded\":%.17g,\"final\":%.17g,"
-             "\"trend_reset\":%u,\"capped\":%u",
+             "\"capped\":%u",
              format_host(e.decision.host).c_str(),
              format_route(e.decision.route_addr, e.decision.route_len).c_str(),
              e.decision.samples, e.decision.combined, e.decision.folded,
-             e.decision.final_window, e.decision.trend_reset,
-             e.decision.capped);
+             e.decision.final_window, e.decision.capped);
       break;
     case EventKind::kAgentProgram:
       append(out,

@@ -256,9 +256,9 @@ TEST(ComposedScenarioTest, HostileFaultsAndGovernedPolicyTogether) {
 }
 
 TEST(ComposedScenarioTest, InstallerFactoriesAndFaultHarnessSlotTogether) {
-  // The legacy single extension slot (claimed by FaultHarness::install)
-  // and the composable extension_factories list (policy installers) must
-  // ride the same experiment without stepping on each other.
+  // A policy installer and a fault harness ride the one extension_factories
+  // list. The harness goes to the front even when installed last, so it is
+  // built before the installer, and from() finds it by type.
   cdn::ExperimentConfig config;
   config.pop_specs.assign(cdn::default_pop_specs().begin(),
                           cdn::default_pop_specs().begin() + 3);
@@ -269,14 +269,17 @@ TEST(ComposedScenarioTest, InstallerFactoriesAndFaultHarnessSlotTogether) {
   faults::FaultHarness::install(
       config, faults::FaultPlan{}.link_flap(sim::Time::seconds(5), 0, 1,
                                             sim::Time::seconds(2), 4));
+  ASSERT_EQ(config.extension_factories.size(), 2u);
   cdn::Experiment exp(config);
   exp.run();
 
+  ASSERT_EQ(exp.extensions().size(), 2u);
   auto* harness = faults::FaultHarness::from(exp);
   ASSERT_NE(harness, nullptr);
-  ASSERT_EQ(exp.extensions().size(), 1u);
-  const auto installation = std::static_pointer_cast<policy::PolicyInstallation>(
-      exp.extensions().front());
+  EXPECT_EQ(harness, exp.extensions().front().get());
+  EXPECT_EQ(harness->injector().stats().link_transitions, 4u);
+  const auto* installation = dynamic_cast<const policy::PolicyInstallation*>(
+      exp.extensions().back().get());
   ASSERT_NE(installation, nullptr);
   EXPECT_GT(installation->routes_installed, 0u);
   EXPECT_GE(exp.simulator().now(), config.duration);

@@ -405,18 +405,6 @@ TEST(RiptideAgentTest, DestinationKeyRespectsGranularity) {
             net::Prefix::parse("10.3.0.0/16"));
 }
 
-TEST(RiptideAgentTest, MinSamplesGate) {
-  TwoHostNet net(Time::milliseconds(20));
-  auto config = test_config();
-  config.min_samples = 2;  // one connection is not enough
-  RiptideAgent agent(net.sim, net.a, config);
-  push_data(net, 200'000);
-  agent.poll_once();
-  EXPECT_EQ(agent.table().size(), 0u);
-  EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
-            10u);
-}
-
 TEST(RiptideAgentTest, IgnoresNonEstablishedConnections) {
   TwoHostNet net(Time::milliseconds(20));
   // SYN to a filtered path: connection stays in SYN-SENT.
@@ -493,47 +481,6 @@ TEST(RiptideAgentTest, WindowCapBoundsProgrammedWindows) {
   agent.poll_once();
   EXPECT_GT(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
             20u);
-}
-
-TEST(RiptideAgentTest, TrendGuardResetsOnCliffDrop) {
-  TwoHostNet net(Time::milliseconds(20));
-  auto config = test_config();
-  config.alpha = 0.9;  // slow EWMA: a glide-down would take many polls
-  config.trend_guard = true;
-  config.trend_drop_fraction = 0.5;
-  RiptideAgent agent(net.sim, net.a, config);
-  push_data(net, 500'000);
-  agent.poll_once();
-  const auto key = net::Prefix::host(net.b.address());
-  ASSERT_GT(agent.learned(key)->final_window_segments, 25.0);
-
-  // Simulate an incident: all connections collapse to tiny windows. Abort
-  // the grown ones and leave a fresh low-window connection.
-  for (const auto& info : net.a.socket_stats()) {
-    net.a.find_connection(info.tuple)->abort();
-  }
-  net.a.routing_table().remove(key);  // forget boost for the new conn
-  tcp::TcpConnection::Callbacks cbs;
-  net.a.connect(net.b.address(), 9900, std::move(cbs));
-  net.sim.run_until(net.sim.now() + Time::milliseconds(200));
-
-  agent.poll_once();
-  // Without the guard, alpha=0.9 would keep the window high; the guard
-  // slams it to c_min in one poll.
-  EXPECT_DOUBLE_EQ(agent.learned(key)->final_window_segments, 10.0);
-  EXPECT_EQ(agent.stats().trend_resets, 1u);
-}
-
-TEST(RiptideAgentTest, TrendGuardIgnoresMildDecline) {
-  TwoHostNet net(Time::milliseconds(20));
-  auto config = test_config();
-  config.trend_guard = true;
-  config.trend_drop_fraction = 0.9;  // only catastrophic drops trigger
-  RiptideAgent agent(net.sim, net.a, config);
-  push_data(net, 500'000);
-  agent.poll_once();
-  agent.poll_once();  // same observations: no drop
-  EXPECT_EQ(agent.stats().trend_resets, 0u);
 }
 
 // The closed-loop property at the heart of the paper: after Riptide

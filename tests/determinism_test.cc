@@ -22,7 +22,9 @@
 
 #include "cdn/experiment.h"
 #include "cdn/pops.h"
+#include "faults/harness.h"
 #include "persist/crc32.h"
+#include "policy/policy.h"
 #include "runner/parallel_runner.h"
 
 namespace riptide::cdn {
@@ -125,6 +127,100 @@ TEST(GoldenDeterminismTest, HybridLoadPerturbsProbes) {
   with.flow_traffic.enabled = true;
   with.flow_traffic.model.flows_per_second = 200.0;
   EXPECT_NE(run_fingerprint(with), kGoldenCrc);
+}
+
+// The golden world with the agent's hardening and governor paths driven
+// by faults: pins the retry, staleness, staged-ladder, budget-shed,
+// reconcile, checkpoint and rollback code on top of the knobs-off golden.
+constexpr std::uint32_t kGovernedFaultedCrc = 0x01B2983F;
+constexpr std::uint32_t kLegacyRollbackCrc = 0x93283F18;
+
+// Fingerprint plus every hardening/governor counter, so a change that
+// moves only agent-internal accounting still shows.
+std::uint32_t pin_fingerprint(const Experiment& exp,
+                              core::AgentStats& totals) {
+  std::string out = serialize_metrics(exp);
+  char line[1024];
+  for (const auto& agent : exp.agents()) {
+    const auto& st = agent->stats();
+    std::snprintf(
+        line, sizeof line,
+        "H,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
+        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
+        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
+        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
+        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
+        ",%" PRIu64 "\n",
+        st.polls_failed, st.actuator_failures, st.actuator_retries,
+        st.actuator_dead_letters, st.staleness_decays,
+        st.staleness_withdrawals, st.crashes, st.restarts, st.routes_adopted,
+        st.reconcile_repaired, st.reconcile_orphaned,
+        st.reconcile_conflicting, st.governor_budget_scaledowns,
+        st.governor_hysteresis_skips, st.governor_rollbacks,
+        st.governor_routes_rolled_back, st.governor_cooldown_polls,
+        st.governor_stage_scaledowns, st.governor_routes_stage_scaled,
+        st.governor_stage_withdrawals, st.governor_routes_stage_withdrawn,
+        st.governor_budget_sheds, st.governor_routes_budget_shed,
+        st.governor_storm_escalations, st.destinations_updated,
+        st.connections_observed);
+    out += line;
+    totals.actuator_retries += st.actuator_retries;
+    totals.staleness_decays += st.staleness_decays;
+    totals.governor_rollbacks += st.governor_rollbacks;
+    totals.governor_stage_scaledowns += st.governor_stage_scaledowns;
+    totals.governor_stage_withdrawals += st.governor_stage_withdrawals;
+    totals.governor_budget_sheds += st.governor_budget_sheds;
+  }
+  return persist::crc32(out);
+}
+
+std::uint32_t run_pin(ExperimentConfig config, const std::string& plan,
+                      core::AgentStats& totals) {
+  faults::FaultHarness::install(config, faults::FaultPlan::parse(plan));
+  Experiment exp(config);
+  exp.run();
+  return pin_fingerprint(exp, totals);
+}
+
+TEST(GoldenDeterminismTest, GovernedFaultedAgentPin) {
+  core::AgentStats totals;
+
+  // (a) The governed adaptive policy with every hardening path armed.
+  ExperimentConfig governed = golden_config();
+  policy::apply_policy(governed, policy::parse_policy("adaptive-governed"));
+  governed.riptide.staleness_guard = true;
+  governed.riptide.reconcile_routes = true;
+  governed.riptide.checkpoint_interval = Time::seconds(2);
+  // The recommended 300-segment budget never binds with three peers per
+  // host; 60 does, so the shed-newest pass runs.
+  governed.riptide.governor.budget_segments = 60;
+  const std::uint32_t governed_crc =
+      run_pin(governed,
+              "@8 actuator-fail 0.4 20; @12 loss 0-3 0.2 20; "
+              "@15 loss 0-1 0.08 10; @30 route-drift -1 0.5 0.25; "
+              "@40 crash -1 4 warm",
+              totals);
+
+  // (b) bench_fault_matrix's gov-rollback knobs: the legacy all-or-nothing
+  // rollback under a host-wide loss burst.
+  ExperimentConfig legacy = golden_config();
+  legacy.riptide.governor.rollback_retrans_fraction = 0.05;
+  legacy.riptide.governor.min_packets = 50;
+  legacy.riptide.governor.cooldown = Time::seconds(10);
+  const std::uint32_t legacy_crc =
+      run_pin(legacy, "@20 loss 0-1 0.3 20", totals);
+
+  EXPECT_GT(totals.governor_stage_scaledowns +
+                totals.governor_stage_withdrawals,
+            0u);
+  EXPECT_GT(totals.governor_budget_sheds, 0u);
+  EXPECT_GT(totals.staleness_decays, 0u);
+  EXPECT_GT(totals.actuator_retries, 0u);
+  EXPECT_GT(totals.governor_rollbacks, 0u);
+  EXPECT_EQ(governed_crc, kGovernedFaultedCrc)
+      << "governed/faulted pin changed: 0x" << std::hex << governed_crc;
+  EXPECT_EQ(legacy_crc, kLegacyRollbackCrc)
+      << "legacy rollback pin changed: 0x" << std::hex << legacy_crc;
 }
 
 TEST(GoldenDeterminismTest, ParallelRunnerThreadCountInvariant) {

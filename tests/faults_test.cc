@@ -247,8 +247,6 @@ TEST(FaultyStatsSourceTest, FailureAndPartialSnapshots) {
 TEST(AgentRetryTest, RetriesWithBackoffUntilSuccess) {
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
-  config.actuator_backoff = Time::milliseconds(100);
-  config.actuator_max_retries = 4;
   auto faulty = std::make_unique<faults::FaultyRouteProgrammer>(
       net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
       sim::Rng(1));
@@ -264,8 +262,9 @@ TEST(AgentRetryTest, RetriesWithBackoffUntilSuccess) {
   EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
             10u);
 
-  // First retry (at +100 ms) hits the second injected failure; the second
-  // retry (backoff doubled, +200 ms) succeeds and installs the route.
+  // First retry (at +kActuatorBackoff = 100 ms) hits the second injected
+  // failure; the second retry (backoff doubled, +200 ms) succeeds and
+  // installs the route.
   net.sim.run_until(net.sim.now() + Time::seconds(1));
   EXPECT_EQ(agent.stats().actuator_failures, 2u);
   EXPECT_EQ(agent.stats().actuator_retries, 2u);
@@ -279,8 +278,6 @@ TEST(AgentRetryTest, RetriesWithBackoffUntilSuccess) {
 TEST(AgentRetryTest, DeadLettersAfterMaxRetries) {
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
-  config.actuator_backoff = Time::milliseconds(50);
-  config.actuator_max_retries = 2;
   auto faulty = std::make_unique<faults::FaultyRouteProgrammer>(
       net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
       sim::Rng(1));
@@ -290,10 +287,14 @@ TEST(AgentRetryTest, DeadLettersAfterMaxRetries) {
 
   programmer->set_failure_probability(1.0);
   agent.poll_once();
+  // Retries at +100, +200, +400 and +800 ms all fail; the op is dropped.
   net.sim.run_until(net.sim.now() + Time::seconds(5));
+  constexpr auto kMaxRetries = core::RiptideAgent::kActuatorMaxRetries;
+  EXPECT_EQ(kMaxRetries, 4u);
   EXPECT_EQ(agent.stats().actuator_dead_letters, 1u);
-  EXPECT_EQ(agent.stats().actuator_retries, 2u);
-  EXPECT_EQ(agent.stats().actuator_failures, 3u);  // initial + 2 retries
+  EXPECT_EQ(agent.stats().actuator_retries, kMaxRetries);
+  EXPECT_EQ(agent.stats().actuator_failures,
+            kMaxRetries + 1);  // initial + every retry
   EXPECT_EQ(agent.pending_actuator_ops(), 0u);
   EXPECT_EQ(agent.stats().routes_set, 0u);
 }
@@ -301,7 +302,6 @@ TEST(AgentRetryTest, DeadLettersAfterMaxRetries) {
 TEST(AgentRetryTest, FreshDecisionSupersedesPendingRetry) {
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
-  config.actuator_backoff = Time::seconds(30);  // retry far in the future
   auto faulty = std::make_unique<faults::FaultyRouteProgrammer>(
       net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
       sim::Rng(1));
@@ -313,8 +313,9 @@ TEST(AgentRetryTest, FreshDecisionSupersedesPendingRetry) {
   agent.poll_once();
   EXPECT_EQ(agent.pending_actuator_ops(), 1u);
 
-  // The next poll succeeds directly; the pending retry is cancelled, and
-  // letting its (cancelled) timer slot pass changes nothing.
+  // The next poll, before the retry's backoff has elapsed, succeeds
+  // directly; the pending retry is cancelled, and letting its (cancelled)
+  // timer slot pass changes nothing.
   agent.poll_once();
   EXPECT_EQ(agent.pending_actuator_ops(), 0u);
   const auto routes_set = agent.stats().routes_set;
@@ -398,9 +399,6 @@ TEST(StalenessGuardTest, DecaysThenWithdrawsHurtingDestination) {
   auto config = agent_config();
   config.alpha = 1.0;  // history-only fold: decayed values stick
   config.staleness_guard = true;
-  config.staleness_retrans_fraction = 0.2;
-  config.staleness_min_segments = 10;
-  config.staleness_decay = 0.5;
   auto scripted = std::make_unique<ScriptedStatsSource>();
   auto* source = scripted.get();
   auto recording = std::make_unique<core::HostRouteProgrammer>(net.a);
@@ -439,7 +437,6 @@ TEST(StalenessGuardTest, MinSegmentsGateAndQuietPathsUntouched) {
   auto config = agent_config();
   config.alpha = 1.0;
   config.staleness_guard = true;
-  config.staleness_min_segments = 100;
   auto scripted = std::make_unique<ScriptedStatsSource>();
   auto* source = scripted.get();
   core::RiptideAgent agent(net.sim, net.a, config, nullptr,
@@ -448,8 +445,9 @@ TEST(StalenessGuardTest, MinSegmentsGateAndQuietPathsUntouched) {
 
   source->next = {established(remote, 80, 0, 0)};
   agent.poll_once();
-  // 100% retransmit rate, but only 50 segments sent: below the gate.
-  source->next = {established(remote, 80, 50, 50)};
+  // 100% retransmit rate, but one segment short of the gate.
+  constexpr auto kBelowGate = core::RiptideAgent::kStalenessMinSegments - 1;
+  source->next = {established(remote, 80, kBelowGate, kBelowGate)};
   agent.poll_once();
   EXPECT_EQ(agent.stats().staleness_decays, 0u);
   EXPECT_DOUBLE_EQ(
@@ -461,7 +459,6 @@ TEST(StalenessGuardTest, TupleReuseDoesNotInheritCounters) {
   auto config = agent_config();
   config.alpha = 1.0;
   config.staleness_guard = true;
-  config.staleness_min_segments = 10;
   auto scripted = std::make_unique<ScriptedStatsSource>();
   auto* source = scripted.get();
   core::RiptideAgent agent(net.sim, net.a, config, nullptr,
@@ -543,7 +540,6 @@ TEST(AgentCrashTest, WarmRestartRestoresSnapshotWithoutAdoption) {
 TEST(AgentCrashTest, CrashDropsPendingRetries) {
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
-  config.actuator_backoff = Time::milliseconds(100);
   auto faulty = std::make_unique<faults::FaultyRouteProgrammer>(
       net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
       sim::Rng(1));
@@ -561,23 +557,7 @@ TEST(AgentCrashTest, CrashDropsPendingRetries) {
   EXPECT_EQ(agent.stats().routes_set, routes_set);  // no zombie retry fired
 }
 
-// -------------------------------------------------------------- poll jitter
-
-TEST(PollJitterTest, JitterShiftsTheFirstPollDeterministically) {
-  TwoHostNet net(Time::milliseconds(20));
-  auto config = agent_config();
-  config.update_interval = Time::seconds(1);
-  config.poll_jitter_fraction = 1.0;
-  sim::Rng rng(123);
-  core::RiptideAgent agent(net.sim, net.a, config, nullptr, nullptr, &rng);
-  agent.start();
-  net.sim.run_until(Time::seconds(1));
-  EXPECT_EQ(agent.stats().polls, 0u);  // phase pushed past the interval
-  net.sim.run_until(Time::seconds(2) + Time::milliseconds(1));
-  EXPECT_GE(agent.stats().polls, 1u);
-}
-
-TEST(PollJitterTest, DefaultOffKeepsExactSchedule) {
+TEST(AgentPollTest, StartPollsOnExactInterval) {
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
   config.update_interval = Time::seconds(1);
@@ -585,14 +565,6 @@ TEST(PollJitterTest, DefaultOffKeepsExactSchedule) {
   agent.start();
   net.sim.run_until(Time::seconds(1));
   EXPECT_EQ(agent.stats().polls, 1u);
-}
-
-TEST(PollJitterTest, JitterWithoutRngIsRejected) {
-  TwoHostNet net(Time::milliseconds(20));
-  auto config = agent_config();
-  config.poll_jitter_fraction = 0.5;
-  EXPECT_THROW(core::RiptideAgent(net.sim, net.a, config),
-               std::invalid_argument);
 }
 
 // ----------------------------------------------------------- FaultInjector
@@ -709,21 +681,21 @@ TEST(FaultHarnessTest, ExperimentWithoutHarnessHasNoExtension) {
   EXPECT_EQ(faults::FaultHarness::from(experiment), nullptr);
 }
 
-// The acceptance scenario: a flapping WAN link plus an actuator failing
-// 30% of route programs. The run must complete (no crash, no unhandled
-// exception), retry/backoff must have engaged, and the staleness guard
-// must have decayed or withdrawn windows on the flapping path.
+// The acceptance scenario: a flapping WAN link that is also lossy while
+// it is up, plus an actuator failing 30% of route programs. The run must
+// complete (no crash, no unhandled exception), retry/backoff must have
+// engaged, and the staleness guard must have decayed or withdrawn windows
+// on the flapping path. (Flap outages alone retransmit a segment or two
+// per poll, below the guard's 20-segment gate; the loss supplies the
+// retransmit-heavy polls.)
 TEST(FaultHarnessTest, AcceptanceFlappingLinkWithFailingActuator) {
   auto config = harness_world(7);
   config.duration = Time::seconds(90);
   config.riptide.staleness_guard = true;
-  // The flap outages are short; judge the retransmit rate aggressively so
-  // the guard reacts within them.
-  config.riptide.staleness_min_segments = 1;
-  config.riptide.staleness_retrans_fraction = 0.05;
   faults::FaultHarness::install(
       config,
-      FaultPlan::parse("@10 flap 0-1 5 8; @5 actuator-fail 0.3 70"));
+      FaultPlan::parse("@10 flap 0-1 5 8; @10 loss 0-1 0.35 40; "
+                       "@5 actuator-fail 0.3 70"));
 
   cdn::Experiment experiment(config);
   experiment.run();

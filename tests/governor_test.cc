@@ -119,12 +119,12 @@ TEST(AgentGovernorTest, BudgetScalesTheInstalledWindow) {
   ASSERT_GT(unscaled, 10u);
 
   // Same observations, but the host-wide budget only admits half.
-  config.governor_budget_segments = unscaled / 2;
+  config.governor.budget_segments = unscaled / 2;
   core::RiptideAgent capped(net.sim, net.a, config);
   capped.poll_once();
   const auto scaled =
       net.a.routing_table().effective_initcwnd(net.b.address(), 10);
-  EXPECT_LE(scaled, config.governor_budget_segments + 1);
+  EXPECT_LE(scaled, config.governor.budget_segments + 1);
   EXPECT_LT(scaled, unscaled);
   EXPECT_EQ(capped.stats().governor_budget_scaledowns, 1u);
   // The learned table keeps the unscaled value: the budget caps what is
@@ -138,10 +138,10 @@ TEST(AgentGovernorTest, BudgetScalesTheInstalledWindow) {
 TEST(AgentGovernorTest, BudgetShrinksRoutesInstalledInEarlierPolls) {
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
-  config.governor_budget_segments = 20;
+  config.governor.budget_segments = 20;
   // Wide hysteresis: shrinking to budget is a safety action, not churn,
   // so the band must not be allowed to block it.
-  config.governor_hysteresis_segments = 50;
+  config.governor.hysteresis_segments = 50;
   core::RiptideAgent agent(net.sim, net.a, config);
 
   // A previous generation learned an over-budget window; the warm restart
@@ -168,7 +168,7 @@ TEST(AgentGovernorTest, BudgetShrinksRoutesInstalledInEarlierPolls) {
 TEST(AgentGovernorTest, HysteresisSkipsChurnButNotTheFirstProgram) {
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
-  config.governor_hysteresis_segments = 50;  // wide: any repeat is churn
+  config.governor.hysteresis_segments = 50;  // wide: any repeat is churn
   core::RiptideAgent agent(net.sim, net.a, config);
   push_data(net, 500'000);
   agent.poll_once();
@@ -265,7 +265,7 @@ TEST(AgentReconcileTest, KnobOffLeavesDriftAlone) {
 TEST(AgentGovernorTest, RejectsOutOfRangeRollbackFraction) {
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
-  config.governor_rollback_retrans_fraction = 1.5;
+  config.governor.rollback_retrans_fraction = 1.5;
   EXPECT_THROW(core::RiptideAgent(net.sim, net.a, config),
                std::invalid_argument);
 }
@@ -429,12 +429,10 @@ struct TrafficRig {
 
 core::RiptideConfig staged_agent_config() {
   auto config = agent_config();
-  config.governor_rollback_retrans_fraction = 0.02;
-  config.governor_min_packets = 10;
-  config.governor_cooldown = Time::seconds(10);
-  config.governor_staged_response = true;
-  config.governor_stage_scale_factor = 0.5;
-  config.governor_stage_withdraw_fraction = 0.5;
+  config.governor.rollback_retrans_fraction = 0.02;
+  config.governor.min_packets = 10;
+  config.governor.cooldown = Time::seconds(10);
+  config.governor.staged_response = true;
   return config;
 }
 
@@ -564,18 +562,19 @@ TEST(AgentStagedTest, ManualRollbackWithdrawsEverythingAndCoolsDown) {
 
 TEST(AgentStagedTest, RejectsNonsenseStagedKnobs) {
   TwoHostNet net(Time::milliseconds(20));
-  auto bad_scale = staged_agent_config();
-  bad_scale.governor_stage_scale_factor = 1.5;
-  EXPECT_THROW(core::RiptideAgent(net.sim, net.a, bad_scale),
-               std::invalid_argument);
+  auto bad_fraction = staged_agent_config();
+  bad_fraction.governor.rollback_retrans_fraction = 1.5;
   auto bad_backoff = staged_agent_config();
-  bad_backoff.governor_storm_backoff_factor = 0.5;
-  EXPECT_THROW(core::RiptideAgent(net.sim, net.a, bad_backoff),
-               std::invalid_argument);
+  bad_backoff.governor.storm_backoff_factor = 0.5;
   auto bad_cap = staged_agent_config();
-  bad_cap.governor_max_cooldown = Time::seconds(1);  // < cooldown
-  EXPECT_THROW(core::RiptideAgent(net.sim, net.a, bad_cap),
-               std::invalid_argument);
+  bad_cap.governor.max_cooldown = Time::seconds(1);  // < cooldown
+  for (const auto& bad : {bad_fraction, bad_backoff, bad_cap}) {
+    // The governor validates its own config, so the check holds whether it
+    // is built directly or by the agent that owns it.
+    EXPECT_THROW(SafetyGovernor{bad.governor}, std::invalid_argument);
+    EXPECT_THROW(core::RiptideAgent(net.sim, net.a, bad),
+                 std::invalid_argument);
+  }
 }
 
 // ------------------------------------------- budget fairness (shed-newest)
@@ -587,8 +586,8 @@ TEST(AgentBudgetFairnessTest, ShedNewestKeepsVeteranWindowsWhole) {
   // installed window untouched.
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
-  config.governor_budget_segments = 60;
-  config.governor_budget_fairness = core::BudgetFairness::kShedNewest;
+  config.governor.budget_segments = 60;
+  config.governor.budget_fairness = core::BudgetFairness::kShedNewest;
   core::RiptideAgent agent(net.sim, net.a, config);
 
   const auto veteran = net::Prefix::host(net.b.address());
@@ -635,7 +634,7 @@ TEST(AgentBudgetFairnessTest, ProportionalFairnessStillDilutesEveryone) {
   // The documented contrast case for the default fairness mode.
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
-  config.governor_budget_segments = 60;
+  config.governor.budget_segments = 60;
   core::RiptideAgent agent(net.sim, net.a, config);
   core::ObservedTable snapshot;
   snapshot.put(net::Prefix::host(net.b.address()),
@@ -702,8 +701,8 @@ TEST(GovernorTraceTest, ManualRollbackAndBudgetShedTagTheirCauses) {
 
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
-  config.governor_budget_segments = 20;
-  config.governor_budget_fairness = core::BudgetFairness::kShedNewest;
+  config.governor.budget_segments = 20;
+  config.governor.budget_fairness = core::BudgetFairness::kShedNewest;
   core::RiptideAgent agent(net.sim, net.a, config);
   core::ObservedTable snapshot;
   snapshot.put(net::Prefix::host(net.b.address()),
@@ -746,9 +745,9 @@ TEST(GovernorRollbackTest, LossStormRollsBackCoolsDownAndRelearns) {
   config.probe.interval = Time::seconds(2);
   config.duration = Time::seconds(90);
   config.seed = 11;
-  config.riptide.governor_rollback_retrans_fraction = 0.05;
-  config.riptide.governor_min_packets = 50;
-  config.riptide.governor_cooldown = Time::seconds(10);
+  config.riptide.governor.rollback_retrans_fraction = 0.05;
+  config.riptide.governor.min_packets = 50;
+  config.riptide.governor.cooldown = Time::seconds(10);
   faults::FaultHarness::install(
       config, faults::FaultPlan::parse("@30 loss 0-1 0.3 15"));
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "cdn/metrics.h"
@@ -119,6 +120,37 @@ TEST(SsFormatTest, LiveHostRoundTrip) {
   EXPECT_EQ(parsed[0].cwnd_segments, 10u);
 }
 
+// The paper's agent scrapes `ss` text. This source hands the agent only
+// what survives a format/parse round-trip of the host's snapshot.
+class TextRoundTripSource : public core::SocketStatsSource {
+ public:
+  explicit TextRoundTripSource(Host& host) : host_(host) {}
+
+  std::vector<SocketInfo> poll() override {
+    std::vector<SocketInfo> infos;
+    for (const auto& parsed :
+         parse_socket_stats(format_socket_stats(host_.socket_stats()))) {
+      SocketInfo info;
+      info.tuple = {parsed.local_addr, parsed.local_port, parsed.remote_addr,
+                    parsed.remote_port};
+      info.state = parsed.state;
+      info.cwnd_segments = parsed.cwnd_segments;
+      info.bytes_acked = parsed.bytes_acked;
+      info.bytes_in_flight = parsed.bytes_in_flight;
+      info.retransmissions = parsed.retransmissions;
+      info.segments_sent = parsed.segments_sent;
+      if (parsed.rtt_ms >= 0.0) {
+        info.srtt = Time::from_milliseconds(parsed.rtt_ms);
+      }
+      infos.push_back(info);
+    }
+    return infos;
+  }
+
+ private:
+  Host& host_;
+};
+
 // The agent learns identical windows whether it reads memory or text.
 TEST(SsFormatTest, AgentViaTextInterfaceMatchesDirect) {
   auto run = [](bool via_text) {
@@ -129,8 +161,9 @@ TEST(SsFormatTest, AgentViaTextInterfaceMatchesDirect) {
     });
     core::RiptideConfig config;
     config.alpha = 0.0;
-    config.via_text_interface = via_text;
-    core::RiptideAgent agent(net.sim, net.a, config);
+    core::RiptideAgent agent(
+        net.sim, net.a, config, nullptr,
+        via_text ? std::make_unique<TextRoundTripSource>(net.a) : nullptr);
     tcp::TcpConnection::Callbacks cbs;
     auto& conn = net.a.connect(net.b.address(), 9900, std::move(cbs));
     net.sim.run_until(Time::milliseconds(100));

@@ -148,4 +148,11 @@ echo "==== trace smoke ===="
   --trace build-ci-release/trace_ci.jsonl
 python3 tools/trace_report.py build-ci-release/trace_ci.jsonl --check
 
+# Benchmark smoke: perfbench/ builds its own workload binary from src/ and
+# includes agent headers, so an API change there must fail here rather
+# than only when the benchmark next runs. Every workload at a short length,
+# untraced and traced, with its output checks.
+echo "==== perfbench smoke ===="
+python3 perfbench/smoke_test.py
+
 echo "CI passed."

@@ -36,7 +36,7 @@ REQUIRED_KEYS = {
     "tcp-rto": {"conn", "rto_ns", "retries"},
     "agent-decision": {
         "host", "route", "samples", "combined", "folded", "final",
-        "trend_reset", "capped",
+        "capped",
     },
     "agent-program": {"host", "route", "verdict", "scale", "initcwnd",
                       "initrwnd"},
@@ -231,12 +231,7 @@ def route_timeline(events, route, host):
         t_ms = ev["at"] / 1e6
         prefix = "" if host else f"[{ev.get('host', '?')}] "
         if ev["kind"] == "agent-decision":
-            flags = []
-            if ev["trend_reset"]:
-                flags.append("trend-reset")
-            if ev["capped"]:
-                flags.append("capped")
-            flag_str = f" ({', '.join(flags)})" if flags else ""
+            flag_str = " (capped)" if ev["capped"] else ""
             print(f"  {t_ms:>12.3f}  {'decision':<16} {prefix}"
                   f"samples={ev['samples']} combined={ev['combined']:g} "
                   f"folded={ev['folded']:g} -> final={ev['final']:g}"
