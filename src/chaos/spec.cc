@@ -1,83 +1,72 @@
 #include "chaos/spec.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <set>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "cdn/pops.h"
+#include "cdn/spec_lexer.h"
 #include "faults/harness.h"
 
 namespace riptide::chaos {
 
 namespace {
 
-[[noreturn]] void bad_spec(const std::string& why, const std::string& token,
-                           std::size_t offset) {
-  throw std::invalid_argument("ChaosSpec::parse: " + why + " at byte " +
-                              std::to_string(offset) + ": '" + token + "'");
+constexpr lex::Grammar kGrammar{"ChaosSpec::parse"};
+
+// A key whose value is a whole sub-grammar string. A sub-grammar error is
+// rethrown anchored at this spec's value offset, so a campaign log points
+// into the chaos spec file, not into a string nobody can see.
+template <typename T>
+lex::Field<ChaosSpec> sub_grammar(std::string_view key, T ChaosSpec::*member,
+                                  T (*parse)(const std::string&),
+                                  std::string (*write)(const T&)) {
+  return {key,
+          [=](const lex::Grammar& g, const lex::Token& value, ChaosSpec& spec) {
+            try {
+              spec.*member = parse(std::string(value.text));
+            } catch (const std::exception& err) {
+              throw std::invalid_argument(
+                  std::string(g.name) + ": " + std::string(key) + ": " +
+                  err.what() + " (value starts at byte " +
+                  std::to_string(value.offset) + ")");
+            }
+          },
+          [=](const ChaosSpec& spec) { return write(spec.*member); }};
 }
 
-std::uint64_t parse_u64(const std::string& text, std::uint64_t min,
-                        std::uint64_t max, std::size_t offset) {
-  if (text.empty()) bad_spec("empty number", text, offset);
-  for (char c : text) {
-    if (c < '0' || c > '9') bad_spec("bad integer", text, offset);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size() || value < min ||
-      value > max) {
-    bad_spec("integer out of range", text, offset);
-  }
-  return value;
-}
-
-double parse_double(const std::string& text, double min, double max,
-                    std::size_t offset) {
-  if (text.empty()) bad_spec("empty number", text, offset);
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size() || !(value >= min) ||
-      !(value <= max)) {
-    bad_spec("number out of range", text, offset);
-  }
-  return value;
-}
-
-// Shortest decimal that round-trips through strtod, so canonical spec
-// text stays short and parse(to_string()) is exact.
-std::string format_double(double value) {
-  char buf[64];
-  for (int precision : {6, 9, 15, 17}) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
-  }
-  return buf;
-}
-
-// Rethrows a sub-grammar parse error anchored at the embedding spec's
-// value offset, so a campaign log points into the chaos spec file, not
-// into a string nobody can see.
-[[noreturn]] void bad_sub_spec(const char* key, const std::exception& err,
-                               std::size_t value_offset) {
-  throw std::invalid_argument("ChaosSpec::parse: " + std::string(key) + ": " +
-                              err.what() + " (value starts at byte " +
-                              std::to_string(value_offset) + ")");
+// The spec file grammar, in canonical key order.
+const std::vector<lex::Field<ChaosSpec>>& fields() {
+  using S = ChaosSpec;
+  static const std::vector<lex::Field<S>> table = {
+      lex::u64_field("pops", &S::pops, 2, 8),
+      lex::u64_field("hosts", &S::hosts, 1, 8),
+      lex::real_field("duration", &S::duration_s, 1.0, 600.0),
+      lex::u64_field("seed", &S::seed, 0, UINT64_MAX),
+      lex::real_field("wan_loss", &S::wan_loss, 0.0, 0.5),
+      sub_grammar<policy::PolicySpec>("policy", &S::policy,
+                                      policy::parse_policy, policy::to_string),
+      sub_grammar<cdn::HostileConfig>("hostile", &S::hostile,
+                                      cdn::parse_hostile_spec,
+                                      cdn::to_spec_string),
+      sub_grammar<faults::FaultPlan>("faults", &S::faults,
+                                     faults::FaultPlan::parse,
+                                     faults::to_spec_string),
+      lex::u64_field("golden", &S::golden, 0, 1),
+      {"break",
+       [](const lex::Grammar& g, const lex::Token& value, S& spec) {
+         if (!value.text.empty() && value.text != "budget") {
+           g.fail("unknown break hook", value);
+         }
+         spec.break_hook = value.text;
+       },
+       [](const S& spec) { return spec.break_hook; }},
+      lex::u64_field("budget", &S::budget_override, 0, 1'000'000),
+  };
+  return table;
 }
 
 }  // namespace
-
-bool operator==(const ChaosSpec& a, const ChaosSpec& b) {
-  return a.pops == b.pops && a.hosts == b.hosts &&
-         a.duration_s == b.duration_s && a.seed == b.seed &&
-         a.wan_loss == b.wan_loss && a.policy == b.policy &&
-         a.hostile == b.hostile && a.faults == b.faults &&
-         a.golden == b.golden && a.break_hook == b.break_hook &&
-         a.budget_override == b.budget_override;
-}
 
 ChaosSpec ChaosSpec::golden_spec() {
   ChaosSpec spec;
@@ -102,75 +91,15 @@ bool ChaosSpec::needs_persistence() const {
 
 ChaosSpec ChaosSpec::parse(const std::string& text) {
   ChaosSpec spec;
-  std::set<std::string> seen;
-  std::size_t faults_at = 0;
-  std::size_t hostile_at = 0;
-
-  std::size_t line_start = 0;
-  while (line_start <= text.size()) {
-    auto line_end = text.find('\n', line_start);
-    if (line_end == std::string::npos) line_end = text.size();
-    const std::string line = text.substr(line_start, line_end - line_start);
-    const std::size_t at = line_start;
-    line_start = line_end + 1;
-    if (line.empty() || line[0] == '#') {
-      if (line_end == text.size()) break;
-      continue;
-    }
-    const auto eq = line.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      bad_spec("expected key=value", line, at);
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    const std::size_t value_at = at + eq + 1;
-    if (!seen.insert(key).second) bad_spec("duplicate key", key, at);
-
-    if (key == "pops") {
-      spec.pops = parse_u64(value, 2, 8, value_at);
-    } else if (key == "hosts") {
-      spec.hosts = static_cast<int>(parse_u64(value, 1, 8, value_at));
-    } else if (key == "duration") {
-      spec.duration_s = parse_double(value, 1.0, 600.0, value_at);
-    } else if (key == "seed") {
-      spec.seed = parse_u64(value, 0, UINT64_MAX, value_at);
-    } else if (key == "wan_loss") {
-      spec.wan_loss = parse_double(value, 0.0, 0.5, value_at);
-    } else if (key == "policy") {
-      try {
-        spec.policy = policy::parse_policy(value);
-      } catch (const std::exception& err) {
-        bad_sub_spec("policy", err, value_at);
-      }
-    } else if (key == "hostile") {
-      hostile_at = value_at;
-      try {
-        spec.hostile = cdn::parse_hostile_spec(value);
-      } catch (const std::exception& err) {
-        bad_sub_spec("hostile", err, value_at);
-      }
-    } else if (key == "faults") {
-      faults_at = value_at;
-      try {
-        spec.faults = faults::FaultPlan::parse(value);
-      } catch (const std::exception& err) {
-        bad_sub_spec("faults", err, value_at);
-      }
-    } else if (key == "golden") {
-      spec.golden = parse_u64(value, 0, 1, value_at) != 0;
-    } else if (key == "break") {
-      if (!value.empty() && value != "budget") {
-        bad_spec("unknown break hook", value, value_at);
-      }
-      spec.break_hook = value;
-    } else if (key == "budget") {
-      spec.budget_override =
-          static_cast<std::uint32_t>(parse_u64(value, 0, 1'000'000, value_at));
-    } else {
-      bad_spec("unknown key", key, at);
-    }
-    if (line_end == text.size()) break;
+  std::vector<lex::Token> lines;
+  for (const lex::Token& line : lex::split({text, 0}, '\n')) {
+    if (!line.text.empty() && line.text[0] != '#') lines.push_back(line);
   }
+  const auto value_at = lex::read_fields(kGrammar, fields(), lines, spec);
+  const auto offset_of = [&](std::string_view key) {
+    const auto it = value_at.find(key);
+    return it == value_at.end() ? std::size_t{0} : it->second;
+  };
 
   // The golden shape is pinned, not configurable: a spec that says
   // golden=1 *is* the determinism-suite world (canonicalized here so the
@@ -187,8 +116,9 @@ ChaosSpec ChaosSpec::parse(const std::string& text) {
   if ((spec.hostile.kind == cdn::HostileKind::kIncast ||
        spec.hostile.kind == cdn::HostileKind::kCombined) &&
       spec.hostile.victim_pop >= spec.pops) {
-    bad_spec("hostile victim PoP out of range",
-             std::to_string(spec.hostile.victim_pop), hostile_at);
+    kGrammar.fail("hostile victim PoP out of range",
+                  {std::to_string(spec.hostile.victim_pop),
+                   offset_of("hostile")});
   }
   const int total_hosts = static_cast<int>(spec.pops) * spec.hosts;
   for (const auto& event : spec.faults.events()) {
@@ -200,18 +130,19 @@ ChaosSpec ChaosSpec::parse(const std::string& text) {
       case faults::FaultKind::kRateChange:
       case faults::FaultKind::kDelayChange:
         if (event.pop_a >= spec.pops || event.pop_b >= spec.pops) {
-          bad_spec("fault link PoP out of range",
-                   std::to_string(event.pop_a) + "-" +
-                       std::to_string(event.pop_b),
-                   faults_at);
+          kGrammar.fail("fault link PoP out of range",
+                        {std::to_string(event.pop_a) + "-" +
+                             std::to_string(event.pop_b),
+                         offset_of("faults")});
         }
         break;
       case faults::FaultKind::kAgentCrash:
       case faults::FaultKind::kSnapshotCorrupt:
       case faults::FaultKind::kRouteDrift:
         if (event.host_index >= total_hosts) {
-          bad_spec("fault host index out of range",
-                   std::to_string(event.host_index), faults_at);
+          kGrammar.fail("fault host index out of range",
+                        {std::to_string(event.host_index),
+                         offset_of("faults")});
         }
         break;
       default:
@@ -223,17 +154,9 @@ ChaosSpec ChaosSpec::parse(const std::string& text) {
 
 std::string ChaosSpec::to_string() const {
   std::string out = "# riptide chaos spec v1\n";
-  out += "pops=" + std::to_string(pops) + "\n";
-  out += "hosts=" + std::to_string(hosts) + "\n";
-  out += "duration=" + format_double(duration_s) + "\n";
-  out += "seed=" + std::to_string(seed) + "\n";
-  out += "wan_loss=" + format_double(wan_loss) + "\n";
-  out += "policy=" + policy::to_string(policy) + "\n";
-  out += "hostile=" + cdn::to_spec_string(hostile) + "\n";
-  out += "faults=" + faults::to_spec_string(faults) + "\n";
-  out += "golden=" + std::string(golden ? "1" : "0") + "\n";
-  out += "break=" + break_hook + "\n";
-  out += "budget=" + std::to_string(budget_override) + "\n";
+  for (const auto& field : fields()) {
+    out += std::string(field.key) + "=" + field.write(*this) + "\n";
+  }
   return out;
 }
 

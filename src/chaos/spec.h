@@ -74,11 +74,8 @@ struct ChaosSpec {
   // Whether any fault event needs persistence (crash / snapshot-corrupt):
   // to_config() arms checkpointing exactly then.
   bool needs_persistence() const;
-};
 
-bool operator==(const ChaosSpec& a, const ChaosSpec& b);
-inline bool operator!=(const ChaosSpec& a, const ChaosSpec& b) {
-  return !(a == b);
-}
+  friend bool operator==(const ChaosSpec&, const ChaosSpec&) = default;
+};
 
 }  // namespace riptide::chaos

@@ -1,10 +1,13 @@
 #include "faults/fault_plan.h"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
+#include <algorithm>
+#include <climits>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
+
+#include "cdn/spec_lexer.h"
 
 namespace riptide::faults {
 
@@ -133,76 +136,149 @@ FaultPlan& FaultPlan::route_drift(sim::Time at, int host_index,
   return add(ev);
 }
 
-bool operator==(const FaultEvent& a, const FaultEvent& b) {
-  return a.at == b.at && a.kind == b.kind && a.pop_a == b.pop_a &&
-         a.pop_b == b.pop_b && a.value == b.value && a.value2 == b.value2 &&
-         a.duration == b.duration && a.count == b.count &&
-         a.host_index == b.host_index && a.warm == b.warm &&
-         a.flush_routes == b.flush_routes;
-}
-
 namespace {
 
-// A token plus its byte offset in the full spec string, so every parse
-// error can localize the failure ("at byte N: 'token'") — required by the
-// --validate-only surface and by the fuzz harness triage workflow.
-struct Token {
-  std::string text;
-  std::size_t offset = 0;
+constexpr lex::Grammar kGrammar{"FaultPlan::parse"};
+
+// The shape of one action argument: how its token reads into (and writes
+// back out of) FaultEvent fields.
+enum class Arg : std::uint8_t {
+  kLink,         // "A-B" PoP pair -> pop_a, pop_b
+  kHost,         // agent index or -1 (all) -> host_index
+  kProbability,  // [0, 1] -> value, or value2 when value is taken
+  kFactor,       // positive rate multiplier -> value
+  kMillis,       // extra delay in ms -> value
+  kByteOffset,   // snapshot byte offset -> value
+  kSeconds,      // -> duration
+  kCount,        // positive flap transitions -> count
+  kCrashMode,    // warm | cold | reboot-warm | reboot-cold
 };
 
-[[noreturn]] void fail(const std::string& what, const Token& tok) {
-  throw std::invalid_argument("FaultPlan::parse: " + what + " at byte " +
-                              std::to_string(tok.offset) + ": '" + tok.text +
-                              "'");
+struct Action {
+  std::string_view name;
+  FaultKind kind;
+  std::vector<Arg> args;
+};
+
+// The action grammar: one row per FaultKind, driving parse and
+// to_spec_string alike.
+const std::vector<Action>& actions() {
+  static const std::vector<Action> table = {
+      {"down", FaultKind::kLinkDown, {Arg::kLink}},
+      {"up", FaultKind::kLinkUp, {Arg::kLink}},
+      {"flap", FaultKind::kLinkFlap, {Arg::kLink, Arg::kSeconds, Arg::kCount}},
+      {"loss", FaultKind::kLossBurst,
+       {Arg::kLink, Arg::kProbability, Arg::kSeconds}},
+      {"rate", FaultKind::kRateChange,
+       {Arg::kLink, Arg::kFactor, Arg::kSeconds}},
+      {"delay", FaultKind::kDelayChange,
+       {Arg::kLink, Arg::kMillis, Arg::kSeconds}},
+      {"actuator-fail", FaultKind::kActuatorFail,
+       {Arg::kProbability, Arg::kSeconds}},
+      {"poll-fail", FaultKind::kPollFail, {Arg::kProbability, Arg::kSeconds}},
+      {"poll-partial", FaultKind::kPollPartial,
+       {Arg::kProbability, Arg::kSeconds}},
+      {"crash", FaultKind::kAgentCrash,
+       {Arg::kHost, Arg::kSeconds, Arg::kCrashMode}},
+      {"snap-corrupt", FaultKind::kSnapshotCorrupt,
+       {Arg::kHost, Arg::kByteOffset}},
+      {"route-drift", FaultKind::kRouteDrift,
+       {Arg::kHost, Arg::kProbability, Arg::kProbability}},
+  };
+  return table;
 }
 
-double parse_number(const Token& token) {
-  std::size_t consumed = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(token.text, &consumed);
-  } catch (...) {
-    fail("bad number", token);
-  }
-  if (consumed != token.text.size()) fail("bad number", token);
-  return value;
+// Crash modes by (warm, flush_routes); reboots also flush learned routes.
+constexpr std::string_view kCrashModes[2][2] = {{"cold", "reboot-cold"},
+                                                {"warm", "reboot-warm"}};
+
+// An action's first real argument lives in value, its second in value2.
+template <typename Event>
+auto& real_slot(Event& ev, int n) {
+  return n == 0 ? ev.value : ev.value2;
 }
 
-// "A-B" -> PoP pair.
-void parse_link(const Token& token, std::size_t& a, std::size_t& b) {
-  const auto dash = token.text.find('-');
-  if (dash == std::string::npos || dash == 0 ||
-      dash + 1 >= token.text.size()) {
-    fail("bad link (want A-B)", token);
+void read_arg(Arg arg, const lex::Token& tok, FaultEvent& ev, int& reals) {
+  constexpr std::uint64_t kMaxPop = 1023;  // as the hostile victim PoP
+  constexpr double kMax = std::numeric_limits<double>::max();
+  switch (arg) {
+    case Arg::kLink: {
+      const auto dash = tok.text.find('-');
+      if (dash == std::string_view::npos || dash == 0 ||
+          dash + 1 >= tok.text.size()) {
+        kGrammar.fail("bad link (want A-B)", tok);
+      }
+      ev.pop_a = kGrammar.u64(tok.sub(0, dash), 0, kMaxPop);
+      ev.pop_b = kGrammar.u64(tok.sub(dash + 1), 0, kMaxPop);
+      if (ev.pop_a == ev.pop_b) {
+        kGrammar.fail("bad link (identical endpoints)", tok);
+      }
+      break;
+    }
+    case Arg::kHost:
+      ev.host_index = tok.text == "-1"
+                          ? -1
+                          : static_cast<int>(kGrammar.u64(tok, 0, INT_MAX));
+      break;
+    case Arg::kProbability:
+      real_slot(ev, reals++) = kGrammar.real(tok, 0.0, 1.0);
+      break;
+    case Arg::kFactor:  // min(): the smallest positive value real() reads
+      real_slot(ev, reals++) =
+          kGrammar.real(tok, std::numeric_limits<double>::min(), kMax);
+      break;
+    case Arg::kMillis:  // applied as a time, so bounded like one
+      real_slot(ev, reals++) =
+          kGrammar.real(tok, 0.0, lex::kMaxSeconds * 1e3);
+      break;
+    case Arg::kByteOffset:
+      // Bounded so the offset survives its round trip through a double.
+      real_slot(ev, reals++) =
+          static_cast<double>(kGrammar.u64(tok, 0, std::uint64_t{1} << 53));
+      break;
+    case Arg::kSeconds:
+      ev.duration = kGrammar.seconds(tok);
+      break;
+    case Arg::kCount:
+      ev.count = static_cast<int>(kGrammar.u64(tok, 1, INT_MAX));
+      break;
+    case Arg::kCrashMode:
+      for (bool warm : {false, true}) {
+        for (bool flush : {false, true}) {
+          if (tok.text == kCrashModes[warm][flush]) {
+            ev.warm = warm;
+            ev.flush_routes = flush;
+            return;
+          }
+        }
+      }
+      kGrammar.fail(
+          "crash mode must be 'warm', 'cold', 'reboot-warm' or 'reboot-cold'",
+          tok);
   }
-  const double da =
-      parse_number({token.text.substr(0, dash), token.offset});
-  const double db =
-      parse_number({token.text.substr(dash + 1), token.offset + dash + 1});
-  if (da < 0 || db < 0 || da != static_cast<std::size_t>(da) ||
-      db != static_cast<std::size_t>(db)) {
-    fail("bad link (want nonnegative integers)", token);
-  }
-  a = static_cast<std::size_t>(da);
-  b = static_cast<std::size_t>(db);
-  if (a == b) fail("bad link (identical endpoints)", token);
 }
 
-// Shortest decimal form that round-trips through parse_number, so the
-// canonical serializer below reproduces the exact double (and therefore
-// the exact sim::Time) on re-parse.
-std::string format_double(double value) {
-  char buf[64];
-  for (int precision : {6, 9, 15, 17}) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
+std::string write_arg(Arg arg, const FaultEvent& ev, int& reals) {
+  switch (arg) {
+    case Arg::kLink:
+      return std::to_string(ev.pop_a) + "-" + std::to_string(ev.pop_b);
+    case Arg::kHost:
+      return std::to_string(ev.host_index);
+    case Arg::kProbability:
+    case Arg::kFactor:
+    case Arg::kMillis:
+      return lex::format_double(real_slot(ev, reals++));
+    case Arg::kByteOffset:
+      return std::to_string(
+          static_cast<std::size_t>(real_slot(ev, reals++)));
+    case Arg::kSeconds:
+      return lex::format_seconds(ev.duration);
+    case Arg::kCount:
+      return std::to_string(ev.count);
+    case Arg::kCrashMode:
+      return std::string(kCrashModes[ev.warm][ev.flush_routes]);
   }
-  return buf;
-}
-
-std::string format_seconds(sim::Time t) {
-  return format_double(t.to_seconds());
+  return "";
 }
 
 }  // namespace
@@ -210,62 +286,18 @@ std::string format_seconds(sim::Time t) {
 std::string to_spec_string(const FaultPlan& plan) {
   std::string out;
   for (const FaultEvent& ev : plan.events()) {
+    const auto action =
+        std::find_if(actions().begin(), actions().end(),
+                     [&](const Action& a) { return a.kind == ev.kind; });
     if (!out.empty()) out += "; ";
-    out += "@" + format_seconds(ev.at) + " ";
-    const std::string link = std::to_string(ev.pop_a) + "-" +
-                             std::to_string(ev.pop_b);
-    switch (ev.kind) {
-      case FaultKind::kLinkDown:
-        out += "down " + link;
-        break;
-      case FaultKind::kLinkUp:
-        out += "up " + link;
-        break;
-      case FaultKind::kLinkFlap:
-        out += "flap " + link + " " + format_seconds(ev.duration) + " " +
-               std::to_string(ev.count);
-        break;
-      case FaultKind::kLossBurst:
-        out += "loss " + link + " " + format_double(ev.value) + " " +
-               format_seconds(ev.duration);
-        break;
-      case FaultKind::kRateChange:
-        out += "rate " + link + " " + format_double(ev.value) + " " +
-               format_seconds(ev.duration);
-        break;
-      case FaultKind::kDelayChange:
-        out += "delay " + link + " " + format_double(ev.value) + " " +
-               format_seconds(ev.duration);
-        break;
-      case FaultKind::kActuatorFail:
-        out += "actuator-fail " + format_double(ev.value) + " " +
-               format_seconds(ev.duration);
-        break;
-      case FaultKind::kPollFail:
-        out += "poll-fail " + format_double(ev.value) + " " +
-               format_seconds(ev.duration);
-        break;
-      case FaultKind::kPollPartial:
-        out += "poll-partial " + format_double(ev.value) + " " +
-               format_seconds(ev.duration);
-        break;
-      case FaultKind::kAgentCrash:
-        out += "crash " + std::to_string(ev.host_index) + " " +
-               format_seconds(ev.duration) + " ";
-        if (ev.warm) {
-          out += ev.flush_routes ? "reboot-warm" : "warm";
-        } else {
-          out += ev.flush_routes ? "reboot-cold" : "cold";
-        }
-        break;
-      case FaultKind::kSnapshotCorrupt:
-        out += "snap-corrupt " + std::to_string(ev.host_index) + " " +
-               std::to_string(static_cast<std::size_t>(ev.value));
-        break;
-      case FaultKind::kRouteDrift:
-        out += "route-drift " + std::to_string(ev.host_index) + " " +
-               format_double(ev.value) + " " + format_double(ev.value2);
-        break;
+    out += '@';
+    out += lex::format_seconds(ev.at);
+    out += ' ';
+    out += action->name;
+    int reals = 0;
+    for (Arg arg : action->args) {
+      out += ' ';
+      out += write_arg(arg, ev, reals);
     }
   }
   return out;
@@ -273,153 +305,33 @@ std::string to_spec_string(const FaultPlan& plan) {
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;
-  std::size_t frag_start = 0;
-  while (frag_start <= spec.size()) {
-    std::size_t frag_end = spec.find(';', frag_start);
-    if (frag_end == std::string::npos) frag_end = spec.size();
-
-    std::vector<Token> tok;
-    for (std::size_t i = frag_start; i < frag_end;) {
-      while (i < frag_end &&
-             std::isspace(static_cast<unsigned char>(spec[i]))) {
-        ++i;
-      }
-      if (i >= frag_end) break;
-      std::size_t j = i;
-      while (j < frag_end &&
-             !std::isspace(static_cast<unsigned char>(spec[j]))) {
-        ++j;
-      }
-      tok.push_back({spec.substr(i, j - i), i});
-      i = j;
-    }
-    const auto advance = [&] {
-      if (frag_end == spec.size()) {
-        frag_start = spec.size() + 1;  // terminate the outer loop
-      } else {
-        frag_start = frag_end + 1;
-      }
-    };
-    if (tok.empty()) {  // empty fragment (trailing ';', blank spec)
-      advance();
-      continue;
-    }
+  for (const lex::Token& fragment : lex::split({spec, 0}, ';')) {
+    const std::vector<lex::Token> tok = lex::words(fragment);
+    if (tok.empty()) continue;  // empty fragment (trailing ';', blank spec)
 
     if (tok[0].text.size() < 2 || tok[0].text[0] != '@') {
-      fail("expected '@SECONDS' to lead the event", tok[0]);
+      kGrammar.fail("expected '@SECONDS' to lead the event", tok[0]);
     }
-    const sim::Time at = sim::Time::from_seconds(
-        parse_number({tok[0].text.substr(1), tok[0].offset + 1}));
-    if (at < sim::Time::zero()) fail("negative event time", tok[0]);
-    if (tok.size() < 2) fail("missing action", tok[0]);
-    const Token& action = tok[1];
-    const auto want = [&](std::size_t n) {
-      if (tok.size() != 2 + n) {
-        fail("'" + action.text + "' takes " + std::to_string(n) +
-                 " argument(s)",
-             tok.size() > 2 + n ? tok[2 + n] : action);
-      }
-    };
-    const auto probability = [&](const Token& token) {
-      const double p = parse_number(token);
-      if (p < 0.0 || p > 1.0) fail("probability outside [0, 1]", token);
-      return p;
-    };
-    const auto seconds = [&](const Token& token) {
-      const double s = parse_number(token);
-      if (s < 0.0) fail("negative duration", token);
-      return sim::Time::from_seconds(s);
-    };
-
-    std::size_t a = 0, b = 0;
-    if (action.text == "down") {
-      want(1);
-      parse_link(tok[2], a, b);
-      plan.link_down(at, a, b);
-    } else if (action.text == "up") {
-      want(1);
-      parse_link(tok[2], a, b);
-      plan.link_up(at, a, b);
-    } else if (action.text == "flap") {
-      want(3);
-      parse_link(tok[2], a, b);
-      const sim::Time period = seconds(tok[3]);
-      const double count = parse_number(tok[4]);
-      if (count < 1 || count != static_cast<int>(count)) {
-        fail("flap count must be a positive integer", tok[4]);
-      }
-      plan.link_flap(at, a, b, period, static_cast<int>(count));
-    } else if (action.text == "loss") {
-      want(3);
-      parse_link(tok[2], a, b);
-      plan.loss_burst(at, a, b, probability(tok[3]), seconds(tok[4]));
-    } else if (action.text == "rate") {
-      want(3);
-      parse_link(tok[2], a, b);
-      const double factor = parse_number(tok[3]);
-      if (factor <= 0.0) fail("rate factor must be positive", tok[3]);
-      plan.rate_factor(at, a, b, factor, seconds(tok[4]));
-    } else if (action.text == "delay") {
-      want(3);
-      parse_link(tok[2], a, b);
-      const double ms = parse_number(tok[3]);
-      if (ms < 0.0) fail("negative extra delay", tok[3]);
-      plan.extra_delay(at, a, b, ms, seconds(tok[4]));
-    } else if (action.text == "actuator-fail") {
-      want(2);
-      plan.actuator_failures(at, probability(tok[2]), seconds(tok[3]));
-    } else if (action.text == "poll-fail") {
-      want(2);
-      plan.poll_failures(at, probability(tok[2]), seconds(tok[3]));
-    } else if (action.text == "poll-partial") {
-      want(2);
-      plan.poll_partial(at, probability(tok[2]), seconds(tok[3]));
-    } else if (action.text == "crash") {
-      want(3);
-      const double host = parse_number(tok[2]);
-      if (host < -1 || host != static_cast<int>(host)) {
-        fail("crash host must be an index or -1 (all)", tok[2]);
-      }
-      bool warm = false;
-      bool flush = false;
-      if (tok[4].text == "warm") {
-        warm = true;
-      } else if (tok[4].text == "reboot-warm") {
-        warm = true;
-        flush = true;
-      } else if (tok[4].text == "reboot-cold") {
-        flush = true;
-      } else if (tok[4].text != "cold") {
-        fail("crash mode must be 'warm', 'cold', 'reboot-warm' or "
-             "'reboot-cold'",
-             tok[4]);
-      }
-      plan.agent_crash(at, static_cast<int>(host), seconds(tok[3]), warm,
-                       flush);
-    } else if (action.text == "snap-corrupt") {
-      want(2);
-      const double host = parse_number(tok[2]);
-      if (host < -1 || host != static_cast<int>(host)) {
-        fail("snap-corrupt host must be an index or -1 (all)", tok[2]);
-      }
-      const double offset = parse_number(tok[3]);
-      if (offset < 0 || offset != static_cast<std::size_t>(offset)) {
-        fail("snap-corrupt offset must be a nonnegative integer", tok[3]);
-      }
-      plan.snapshot_corrupt(at, static_cast<int>(host),
-                            static_cast<std::size_t>(offset));
-    } else if (action.text == "route-drift") {
-      want(3);
-      const double host = parse_number(tok[2]);
-      if (host < -1 || host != static_cast<int>(host)) {
-        fail("route-drift host must be an index or -1 (all)", tok[2]);
-      }
-      plan.route_drift(at, static_cast<int>(host), probability(tok[3]),
-                       probability(tok[4]));
-    } else {
-      fail("unknown action", action);
+    FaultEvent ev;
+    ev.at = kGrammar.seconds(tok[0].sub(1));
+    if (tok.size() < 2) kGrammar.fail("missing action", tok[0]);
+    const lex::Token& name = tok[1];
+    const auto action =
+        std::find_if(actions().begin(), actions().end(),
+                     [&](const Action& a) { return a.name == name.text; });
+    if (action == actions().end()) kGrammar.fail("unknown action", name);
+    const std::size_t n = action->args.size();
+    if (tok.size() != 2 + n) {
+      kGrammar.fail(std::string("'").append(name.text) + "' takes " +
+                        std::to_string(n) + " argument(s)",
+                    tok.size() > 2 + n ? tok[2 + n] : name);
     }
-    advance();
+    ev.kind = action->kind;
+    int reals = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      read_arg(action->args[i], tok[2 + i], ev, reals);
+    }
+    plan.add(ev);
   }
   return plan;
 }

@@ -54,10 +54,10 @@ struct FaultEvent {
   int host_index = -1;
   bool warm = false;
   bool flush_routes = false;
-};
 
-// Field-wise equality, for spec round-trip checks and the chaos shrinker.
-bool operator==(const FaultEvent& a, const FaultEvent& b);
+  // Field-wise equality, for spec round-trip checks and the chaos shrinker.
+  friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
+};
 
 // A declarative, composable list of fault events. Build in code via the
 // fluent adders, or parse from a compact spec string:
@@ -81,6 +81,9 @@ bool operator==(const FaultEvent& a, const FaultEvent& b);
 //
 // Example: "@5 flap 0-1 2 6; @10 actuator-fail 0.3 30; @20 loss 0-1 0.05 10"
 // Whitespace between tokens is free-form; times accept fractions ("@2.5").
+// Numbers follow the shared lexer (src/cdn/spec_lexer.h): indices and
+// counts are decimal integers, values and times finite decimals, and
+// times and durations lie in [0, 1e6] s.
 class FaultPlan {
  public:
   FaultPlan() = default;
@@ -122,9 +125,7 @@ class FaultPlan {
   bool empty() const { return events_.empty(); }
   std::size_t size() const { return events_.size(); }
 
-  friend bool operator==(const FaultPlan& a, const FaultPlan& b) {
-    return a.events_ == b.events_;
-  }
+  friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 
  private:
   std::vector<FaultEvent> events_;

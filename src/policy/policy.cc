@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <memory>
-#include <stdexcept>
+#include <string_view>
 
+#include "cdn/spec_lexer.h"
 #include "core/route_programmer.h"
 
 namespace riptide::policy {
@@ -46,65 +46,33 @@ std::string to_string(const PolicySpec& spec) {
   return out;
 }
 
-bool operator==(const PolicySpec& a, const PolicySpec& b) {
-  return a.kind == b.kind && a.static_iw == b.static_iw &&
-         a.prefix_length == b.prefix_length && a.governed == b.governed &&
-         a.cc == b.cc;
-}
-
-namespace {
-
-[[noreturn]] void bad_policy(const std::string& why, const std::string& token,
-                             std::size_t offset) {
-  throw std::invalid_argument("parse_policy: " + why + " at byte " +
-                              std::to_string(offset) + ": '" + token + "'");
-}
-
-std::uint64_t parse_number(const std::string& text, std::uint64_t min,
-                           std::uint64_t max, std::size_t offset) {
-  if (text.empty()) bad_policy("empty number", text, offset);
-  for (char c : text) {
-    if (c < '0' || c > '9') bad_policy("bad number", text, offset);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size() || value < min ||
-      value > max) {
-    bad_policy("number out of range", text, offset);
-  }
-  return value;
-}
-
-}  // namespace
-
 PolicySpec parse_policy(const std::string& full_text) {
+  constexpr lex::Grammar kGrammar{"parse_policy"};
   PolicySpec spec;
   // Strip the optional ",cc=<name>" suffix first; the remainder is the
   // historical grammar, untouched.
-  std::string text = full_text;
+  lex::Token text{full_text, 0};
   const auto comma = full_text.find(',');
   if (comma != std::string::npos) {
-    const std::string suffix = full_text.substr(comma + 1);
-    if (suffix.rfind("cc=", 0) != 0) {
-      bad_policy("expected cc=<name> after ','", suffix, comma + 1);
+    const lex::Token suffix = text.sub(comma + 1);
+    if (!suffix.text.starts_with("cc=")) {
+      kGrammar.fail("expected cc=<name> after ','", suffix);
     }
-    const std::string name = suffix.substr(3);
-    if (!tcp::parse_route_cc(name, spec.cc)) {
-      bad_policy("unknown congestion control", name, comma + 4);
+    const lex::Token name = suffix.sub(3);
+    if (!tcp::parse_route_cc(std::string(name.text), spec.cc)) {
+      kGrammar.fail("unknown congestion control", name);
     }
-    text = full_text.substr(0, comma);
+    text = text.sub(0, comma);
   }
-  const auto at = text.find('@');
-  std::string base = text;
-  if (at != std::string::npos) {
-    base = text.substr(0, at);
+  const auto at = text.text.find('@');
+  const std::string_view base = text.text.substr(0, at);
+  if (at != std::string_view::npos) {
     spec.prefix_length =
-        static_cast<int>(parse_number(text.substr(at + 1), 8, 32, at + 1));
+        static_cast<int>(kGrammar.u64(text.sub(at + 1), 8, 32));
   }
   if (base == "default") {
-    if (at != std::string::npos) {
-      bad_policy("'default' takes no granularity", text.substr(at), at);
+    if (at != std::string_view::npos) {
+      kGrammar.fail("'default' takes no granularity", text.sub(at));
     }
     spec.kind = PolicyKind::kDefault;
   } else if (base == "adaptive") {
@@ -114,12 +82,12 @@ PolicySpec parse_policy(const std::string& full_text) {
     spec.governed = true;
   } else if (base == "oracle") {
     spec.kind = PolicyKind::kOracle;
-  } else if (base.rfind("static-iw", 0) == 0) {
+  } else if (base.starts_with("static-iw")) {
     spec.kind = PolicyKind::kStaticIw;
-    spec.static_iw = static_cast<std::uint32_t>(
-        parse_number(base.substr(9), 1, 1000, 9));
+    spec.static_iw =
+        static_cast<std::uint32_t>(kGrammar.u64(text.sub(9, at - 9), 1, 1000));
   } else {
-    bad_policy("unknown policy", base, 0);
+    kGrammar.fail("unknown policy", text.sub(0, at));
   }
   return spec;
 }

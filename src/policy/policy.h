@@ -37,10 +37,10 @@ struct PolicySpec {
   // programmed route; for kDefault it rewrites the host-wide TcpConfig so
   // a whole experiment can run under e.g. BBR-lite. kUnset = stock CUBIC.
   tcp::RouteCc cc = tcp::RouteCc::kUnset;
-};
 
-// Field-wise equality, for spec round-trip checks and the chaos shrinker.
-bool operator==(const PolicySpec& a, const PolicySpec& b);
+  // Field-wise equality, for spec round-trip checks and the chaos shrinker.
+  friend bool operator==(const PolicySpec&, const PolicySpec&) = default;
+};
 
 // Canonical spec name, e.g. "static-iw50@24", "adaptive-governed",
 // "oracle@20,cc=bbr", "default". Round-trips through parse_policy.

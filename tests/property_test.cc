@@ -447,5 +447,24 @@ TEST(GrammarErrorTest, AllThreeGrammarsReportByteOffsets) {
   EXPECT_NE(what.find("at byte 9"), std::string::npos) << what;
 }
 
+// One number rule across the grammars: non-finite, overflowing and hex
+// values are rejected at parse time instead of turning into a plan whose
+// canonical string no longer parses (an infinite duration used to become
+// INT64_MIN nanoseconds) or that differs from itself after a round trip.
+TEST(GrammarErrorTest, NonFiniteAndOverflowingNumbersAreRejected) {
+  for (const char* bad :
+       {"@1 loss 0-1 nan 5", "@1 loss 0-1 0.5 inf", "@1 crash 0 1e30 warm",
+        "@1 rate 0-1 inf 5", "@0x10 down 0-1", "@1 delay 0-1 1e300 5",
+        "@1 flap 0-1 2 1e1"}) {
+    EXPECT_THROW((void)faults::FaultPlan::parse(bad), std::invalid_argument)
+        << bad;
+  }
+  for (const char* bad : {"incast:start=0x10", "incast:start= 1",
+                          "incast:victim=1,victim=2"}) {
+    EXPECT_THROW((void)cdn::parse_hostile_spec(bad), std::invalid_argument)
+        << bad;
+  }
+}
+
 }  // namespace
 }  // namespace riptide

@@ -79,6 +79,15 @@ echo "==== cc suite (ASan/UBSan) ===="
 ctest --test-dir build-ci-asan -L cc --output-on-failure \
   --timeout 300 -j "$JOBS"
 
+# The grammar label (the shared spec lexer, the fault-plan and
+# hostile/policy fuzz-seed corpora, the CLI's numeric flag check) re-runs
+# under the sanitizers: every scenario string is parsed through it, and
+# float-cast-overflow turns a number that escapes its bounds into a loud
+# failure instead of a silently wrapped sim::Time.
+echo "==== grammar suite (ASan/UBSan) ===="
+ctest --test-dir build-ci-asan -L grammar --output-on-failure \
+  --timeout 300 -j "$JOBS"
+
 # Chaos campaign smoke (Release): a short seeded campaign end to end
 # through the CLI. A healthy tree must come back with zero findings; any
 # finding writes its minimized .min.spec next to the build for triage.

@@ -52,17 +52,20 @@
 // --flow-traffic F adds fluid (flow-level) cross-traffic at F flows/sec
 // per WAN link instead of simulating those packets.
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
-
-#include <stdexcept>
 
 #include "cdn/experiment.h"
 #include "cdn/hostile.h"
 #include "cdn/pops.h"
+#include "cdn/spec_lexer.h"
 #include "chaos/engine.h"
 #include "faults/fault_plan.h"
 #include "faults/harness.h"
@@ -203,11 +206,28 @@ Misc:
   std::exit(2);
 }
 
-Options parse(int argc, char** argv) {
+// Throws std::invalid_argument, naming the flag, for a numeric value that
+// is malformed or out of range; parse() below turns that into usage.
+Options parse_flags(int argc, char** argv) {
   Options opt;
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
+  };
+  // Numeric values go through the spec lexer's full-match readers, so
+  // "12x" or "abc" is an error instead of a silently truncated number.
+  const auto value = [&](int& i) { return lex::Token{need_value(i), 0}; };
+  const auto u64 = [&](int& i, std::uint64_t min, std::uint64_t max) {
+    const lex::Grammar flag{argv[i]};
+    return flag.u64(value(i), min, max);
+  };
+  const auto real = [&](int& i, double min, double max) {
+    const lex::Grammar flag{argv[i]};
+    return flag.real(value(i), min, max);
+  };
+  const auto seconds = [&](int& i) {
+    const lex::Grammar flag{argv[i]};
+    return flag.seconds(value(i));
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -215,29 +235,27 @@ Options parse(int argc, char** argv) {
       std::fputs(kHelpText, stdout);
       std::exit(0);
     } else if (arg == "--pops") {
-      opt.pops = static_cast<std::size_t>(std::atoi(need_value(i)));
+      opt.pops = u64(i, 0, UINT32_MAX);
     } else if (arg == "--hosts") {
-      opt.hosts = std::atoi(need_value(i));
+      opt.hosts = static_cast<int>(u64(i, 1, INT_MAX));
     } else if (arg == "--duration") {
-      opt.duration_s = std::atof(need_value(i));
+      opt.duration_s = real(i, 0.0, lex::kMaxSeconds);
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      opt.seed = u64(i, 0, UINT64_MAX);
     } else if (arg == "--riptide") {
-      opt.riptide = std::atoi(need_value(i)) != 0;
+      opt.riptide = u64(i, 0, 1) != 0;
     } else if (arg == "--cmax") {
       opt.config.riptide.c_max =
-          static_cast<std::uint32_t>(std::atoi(need_value(i)));
+          static_cast<std::uint32_t>(u64(i, 0, UINT32_MAX));
     } else if (arg == "--cmin") {
       opt.config.riptide.c_min =
-          static_cast<std::uint32_t>(std::atoi(need_value(i)));
+          static_cast<std::uint32_t>(u64(i, 0, UINT32_MAX));
     } else if (arg == "--alpha") {
-      opt.config.riptide.alpha = std::atof(need_value(i));
+      opt.config.riptide.alpha = real(i, 0.0, 1.0);
     } else if (arg == "--interval") {
-      opt.config.riptide.update_interval =
-          sim::Time::from_seconds(std::atof(need_value(i)));
+      opt.config.riptide.update_interval = seconds(i);
     } else if (arg == "--ttl") {
-      opt.config.riptide.ttl =
-          sim::Time::from_seconds(std::atof(need_value(i)));
+      opt.config.riptide.ttl = seconds(i);
     } else if (arg == "--combiner") {
       const std::string kind = need_value(i);
       if (kind == "avg") {
@@ -253,13 +271,11 @@ Options parse(int argc, char** argv) {
       opt.config.riptide.granularity = core::Granularity::kPrefix;
       opt.config.riptide.prefix_length = 16;
     } else if (arg == "--probe-interval") {
-      opt.config.probe.interval =
-          sim::Time::from_seconds(std::atof(need_value(i)));
+      opt.config.probe.interval = seconds(i);
     } else if (arg == "--wan-loss") {
-      opt.config.topology.wan_loss_probability = std::atof(need_value(i));
+      opt.config.topology.wan_loss_probability = real(i, 0.0, 1.0);
     } else if (arg == "--organic") {
-      opt.config.organic_source_pops.push_back(
-          static_cast<std::size_t>(std::atoi(need_value(i))));
+      opt.config.organic_source_pops.push_back(u64(i, 0, UINT32_MAX));
     } else if (arg == "--pacing") {
       opt.config.topology.host_tcp.pacing = true;
     } else if (arg == "--cc") {
@@ -270,16 +286,14 @@ Options parse(int argc, char** argv) {
       opt.config.trace.enabled = true;
       opt.config.trace.export_path = need_value(i);
     } else if (arg == "--trace-ring") {
-      opt.config.trace.ring_capacity =
-          static_cast<std::size_t>(std::atoll(need_value(i)));
-      if (opt.config.trace.ring_capacity == 0) usage(argv[0]);
+      opt.config.trace.ring_capacity = u64(i, 1, SIZE_MAX);
     } else if (arg == "--threads") {
-      opt.threads = static_cast<unsigned>(std::atoi(need_value(i)));
+      opt.threads = static_cast<unsigned>(u64(i, 0, UINT32_MAX));
     } else if (arg == "--flow-traffic") {
-      const double fps = std::atof(need_value(i));
-      if (fps <= 0.0) usage(argv[0]);
       opt.config.flow_traffic.enabled = true;
-      opt.config.flow_traffic.model.flows_per_second = fps;
+      opt.config.flow_traffic.model.flows_per_second =
+          real(i, std::numeric_limits<double>::min(),
+               std::numeric_limits<double>::max());
     } else if (arg == "--policy") {
       opt.policy = need_value(i);
     } else if (arg == "--hostile") {
@@ -289,28 +303,32 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--validate-only") {
       opt.validate_only = true;
     } else if (arg == "--chaos") {
-      const int n = std::atoi(need_value(i));
-      if (n <= 0) usage(argv[0]);
-      opt.chaos = static_cast<std::size_t>(n);
+      opt.chaos = u64(i, 1, INT_MAX);
     } else if (arg == "--chaos-seed") {
-      opt.chaos_seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      opt.chaos_seed = u64(i, 0, UINT64_MAX);
     } else if (arg == "--chaos-out") {
       opt.chaos_out = need_value(i);
     } else if (arg == "--repro") {
       opt.repro = need_value(i);
     } else if (arg == "--sweep-seeds") {
-      const char* p = need_value(i);
-      while (*p != '\0') {
-        char* end = nullptr;
-        opt.sweep_seeds.push_back(std::strtoull(p, &end, 10));
-        if (end == p) usage(argv[0]);
-        p = (*end == ',') ? end + 1 : end;
+      const lex::Grammar flag{argv[i]};
+      for (const lex::Token& seed : lex::split(value(i), ',')) {
+        opt.sweep_seeds.push_back(flag.u64(seed, 0, UINT64_MAX));
       }
     } else {
       usage(argv[0]);
     }
   }
   return opt;
+}
+
+Options parse(int argc, char** argv) {
+  try {
+    return parse_flags(argc, argv);
+  } catch (const std::invalid_argument& err) {
+    std::fprintf(stderr, "%s\n", err.what());
+    usage(argv[0]);
+  }
 }
 
 void print_summary(const cdn::Experiment& exp);
