@@ -20,12 +20,15 @@
 #include <cstdio>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "cdn/experiment.h"
+#include "cdn/hostile.h"
 #include "cdn/pops.h"
 #include "faults/harness.h"
 #include "persist/crc32.h"
 #include "policy/policy.h"
 #include "runner/parallel_runner.h"
+#include "stats/perf.h"
 
 namespace riptide::cdn {
 namespace {
@@ -221,6 +224,106 @@ TEST(GoldenDeterminismTest, GovernedFaultedAgentPin) {
       << "governed/faulted pin changed: 0x" << std::hex << governed_crc;
   EXPECT_EQ(legacy_crc, kLegacyRollbackCrc)
       << "legacy rollback pin changed: 0x" << std::hex << legacy_crc;
+}
+
+// The three benchmark worlds (perfbench/workload.cc), at their
+// expected.json seeds and cut short, pinned by fingerprint and by the exact
+// counters the benchmark gates. The golden world above has four PoPs and
+// no hostile traffic; these catch drift in the 34-PoP mesh and the
+// governed hostile world before a benchmark run would.
+ExperimentConfig mesh34_world(bool riptide_enabled) {
+  ExperimentConfig config = bench::paper_world(riptide_enabled, 1);
+  config.topology.seed = 1;
+  config.duration = Time::seconds(20);
+  return config;
+}
+
+// 35 s rather than 20: the flash crowd's first wave fires at 30 s.
+ExperimentConfig hostile_world() {
+  constexpr std::uint64_t kSeed = 11;
+  ExperimentConfig config;
+  const auto& all = default_pop_specs();
+  config.pop_specs.assign(all.begin(), all.begin() + 8);
+  config.topology.hosts_per_pop = 2;
+  config.topology.wan_rate_bps = 500e6;
+  config.topology.seed = kSeed;
+  config.riptide.update_interval = Time::seconds(2);
+  config.probe.interval = Time::seconds(2);
+  config.organic_source_pops = {0};
+  config.cwnd_sample_interval = Time::seconds(15);
+  config.hostile = parse_hostile_spec("combined");
+  apply_shallow_buffer(config.hostile, config.topology.wan_queue_packets);
+  config.duration = Time::seconds(35);
+  config.seed = kSeed;
+  policy::apply_policy(config, policy::parse_policy("adaptive-governed"));
+  return config;
+}
+
+// The simulation-determined counters, one line. Leaves out the segment
+// pool's heap allocations and high-water mark, which depend on how warm
+// this thread's pool already is.
+std::string counters_line(const Experiment& exp, const perf::Counters& c) {
+  std::uint64_t packets_sent = 0, opened = 0, routes_set = 0, polls = 0;
+  for (const auto& pop : exp.topology().pops()) {
+    for (const host::Host* h : pop.hosts) {
+      packets_sent += h->stats().packets_sent;
+      opened += h->stats().connections_opened;
+    }
+  }
+  for (const auto& agent : exp.agents()) {
+    polls += agent->stats().polls;
+    routes_set += agent->stats().routes_set;
+  }
+  const auto drops = exp.topology().drop_totals();
+  char line[512];
+  std::snprintf(
+      line, sizeof line,
+      "events=%" PRIu64 " cascades=%" PRIu64 " buckets=%" PRIu64
+      " packets=%" PRIu64 " bytes=%" PRIu64 " segments=%" PRIu64
+      " sent=%" PRIu64 " opened=%" PRIu64 " polls=%" PRIu64
+      " routes_set=%" PRIu64 " retrans=%" PRIu64 " timeouts=%" PRIu64
+      " queue_full=%" PRIu64 " random=%" PRIu64,
+      c.events_dispatched, c.events_cascaded, c.timer_buckets_dispatched,
+      c.packets_queued, c.bytes_queued, c.segments_allocated, packets_sent,
+      opened, polls, routes_set, exp.topology().total_retransmissions(),
+      exp.topology().total_timeouts(), drops.queue_full, drops.random_loss);
+  return line;
+}
+
+struct WorldPin {
+  const char* name;
+  ExperimentConfig (*make)();
+  std::uint32_t fingerprint;
+  const char* counters;
+};
+
+TEST(GoldenDeterminismTest, BenchmarkWorldPins) {
+  const WorldPin pins[] = {
+      {"mesh34", [] { return mesh34_world(true); }, 0x9373E8F1,
+       "events=2466874 cascades=3188214 buckets=2465997 packets=2435515 "
+       "bytes=2246260630 segments=813228 sent=813228 opened=10140 polls=680 "
+       "routes_set=20846 retrans=614 timeouts=149 queue_full=0 random=824"},
+      {"mesh34_off", [] { return mesh34_world(false); }, 0x6D5DD966,
+       "events=2455687 cascades=3175953 buckets=2455516 packets=2421672 "
+       "bytes=2236209710 segments=808623 sent=808623 opened=10140 polls=0 "
+       "routes_set=0 retrans=645 timeouts=174 queue_full=0 random=823"},
+      {"hostile", hostile_world, 0x64883A51,
+       "events=1704571 cascades=1757347 buckets=1686519 packets=1681962 "
+       "bytes=1506064463 segments=584072 sent=584072 opened=4822 polls=272 "
+       "routes_set=1539 retrans=22082 timeouts=1448 queue_full=34900 "
+       "random=27"},
+  };
+  for (const WorldPin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    Experiment exp(pin.make());
+    const perf::Counters before = perf::local();
+    exp.run();
+    const perf::Counters delta = perf::local().delta_since(before);
+    const std::uint32_t crc = persist::crc32(serialize_metrics(exp));
+    EXPECT_EQ(crc, pin.fingerprint)
+        << pin.name << " fingerprint changed: 0x" << std::hex << crc;
+    EXPECT_EQ(counters_line(exp, delta), pin.counters);
+  }
 }
 
 TEST(GoldenDeterminismTest, ParallelRunnerThreadCountInvariant) {
