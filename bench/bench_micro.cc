@@ -1,23 +1,24 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the simulator
-// and the Riptide agent: event-queue throughput, longest-prefix-match
-// lookups, the agent's poll loop against a host with many connections, and
-// quantile extraction used by the analysis pipeline.
+// and the Riptide agent: event-queue throughput, the agent's poll loop
+// against a host with many connections, and quantile extraction used by
+// the analysis pipeline.
 //
 // `bench_micro --queue-json` skips google-benchmark and instead runs the
 // event-queue throughput driver (schedule/fire, schedule/cancel,
 // RTO-rearm, multi-timer rearm churn, far-future overflow) and prints one
 // machine-readable JSON row per workload, so successive PRs can track the
 // event-loop trajectory. See queue_throughput.h.
+//
+// `bench_micro --routescale-json` prints the route-table scale rows:
+// lookup and connect cost at 10^2, 10^4 and 10^6 routes (route_scale.h).
 
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 
 #include "core/agent.h"
-#include "host/routing_table.h"
 #include "model/transfer_model.h"
 #include "net/link.h"
-#include "net/router.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "stats/cdf.h"
@@ -25,6 +26,7 @@
 #include "tcp/connection.h"
 #include "hotpath.h"
 #include "queue_throughput.h"
+#include "route_scale.h"
 
 namespace {
 
@@ -108,27 +110,6 @@ void BM_SimulatorPeriodic(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorPeriodic)->Arg(100);
 
-void BM_RoutingTableLookup(benchmark::State& state) {
-  const int routes = static_cast<int>(state.range(0));
-  host::RoutingTable table;
-  net::Router sink("sink");
-  for (int i = 0; i < routes; ++i) {
-    table.add_or_replace(
-        net::Prefix(net::Ipv4Address(10, static_cast<std::uint8_t>(i % 200),
-                                     static_cast<std::uint8_t>(i / 200), 0),
-                    24),
-        sink, host::RouteMetrics{50, 100});
-  }
-  table.add_or_replace(net::Prefix(net::Ipv4Address(0), 0), sink);
-  std::uint32_t x = 1;
-  for (auto _ : state) {
-    x = x * 1664525u + 1013904223u;
-    benchmark::DoNotOptimize(table.lookup(net::Ipv4Address(x)));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RoutingTableLookup)->Arg(16)->Arg(256)->Arg(2048);
-
 void BM_EwmaUpdate(benchmark::State& state) {
   stats::Ewma ewma(0.5);
   double v = 10.0;
@@ -208,6 +189,10 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--queue-json") == 0) {
       riptide::bench::print_queue_throughput_json(
           riptide::bench::measure_queue_throughput(), build);
+      return 0;
+    }
+    if (std::strcmp(argv[i], "--routescale-json") == 0) {
+      riptide::bench::print_route_scale_json(build);
       return 0;
     }
     if (std::strcmp(argv[i], "--hotpath-json") == 0) {

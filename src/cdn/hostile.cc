@@ -81,6 +81,12 @@ std::string to_spec_string(const HostileConfig& config) {
   return out;
 }
 
+bool victim_pop_in_range(const HostileConfig& config, std::size_t pops) {
+  const bool has_victim = config.kind == HostileKind::kIncast ||
+                          config.kind == HostileKind::kCombined;
+  return !has_victim || config.victim_pop < pops;
+}
+
 bool apply_shallow_buffer(const HostileConfig& config,
                           std::size_t& wan_queue_packets) {
   if (config.kind != HostileKind::kShallowBuffer &&

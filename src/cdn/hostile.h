@@ -68,6 +68,11 @@ struct HostileConfig {
 // grammar is a fuzz surface.
 HostileConfig parse_hostile_spec(const std::string& spec);
 
+// False when the scenario aims incast at a victim PoP the world does not
+// have (index >= `pops`). The grammar bounds the index but cannot know the
+// world; callers that know both check here.
+bool victim_pop_in_range(const HostileConfig& config, std::size_t pops);
+
 // Canonical spec string: the scenario name plus every key whose value
 // differs from the default, in fixed key order.
 // parse_hostile_spec(to_spec_string(config)) == config for every parsed

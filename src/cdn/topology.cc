@@ -26,6 +26,7 @@ Topology::Topology(sim::Simulator& sim, TopologyConfig config,
     pop.prefix = net::Prefix(
         net::Ipv4Address(10, static_cast<std::uint8_t>(i), 0, 0), 16);
     pop.router = routers_.back().get();
+    pop_index_.insert_or_assign(pop.prefix, static_cast<int>(i));
     pops_.push_back(std::move(pop));
   }
 
@@ -98,10 +99,8 @@ std::vector<host::Host*> Topology::all_hosts() {
 }
 
 int Topology::pop_of(net::Ipv4Address addr) const {
-  for (std::size_t i = 0; i < pops_.size(); ++i) {
-    if (pops_[i].prefix.contains(addr)) return static_cast<int>(i);
-  }
-  return -1;
+  const int* pop = pop_index_.lookup(addr);
+  return pop == nullptr ? -1 : *pop;
 }
 
 sim::Time Topology::base_rtt(std::size_t pop_a, std::size_t pop_b) const {

@@ -7,6 +7,7 @@
 #include "cdn/pops.h"
 #include "host/host.h"
 #include "net/link.h"
+#include "net/prefix_table.h"
 #include "net/router.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -91,6 +92,7 @@ class Topology {
   TopologyConfig config_;
   sim::Rng rng_;  // loss draws for every link
   std::vector<Pop> pops_;
+  net::PrefixTable<int> pop_index_;  // PoP prefix -> index into pops_
   std::vector<std::unique_ptr<net::Router>> routers_;
   std::vector<std::unique_ptr<net::Link>> links_;
   std::vector<std::unique_ptr<host::Host>> hosts_;

@@ -113,9 +113,7 @@ ChaosSpec ChaosSpec::parse(const std::string& text) {
 
   // Semantic cross-checks the sub-grammars can't do alone: every PoP /
   // host a sub-spec names must exist in this spec's world.
-  if ((spec.hostile.kind == cdn::HostileKind::kIncast ||
-       spec.hostile.kind == cdn::HostileKind::kCombined) &&
-      spec.hostile.victim_pop >= spec.pops) {
+  if (!cdn::victim_pop_in_range(spec.hostile, spec.pops)) {
     kGrammar.fail("hostile victim PoP out of range",
                   {std::to_string(spec.hostile.victim_pop),
                    offset_of("hostile")});

@@ -19,16 +19,25 @@ void Host::attach_uplink(net::PacketSink& uplink) {
   routes_.add_or_replace(net::Prefix(net::Ipv4Address(0), 0), uplink);
 }
 
-tcp::TcpConfig Host::effective_config(net::Ipv4Address peer,
+const RouteEntry* Host::lookup_route(net::Ipv4Address dst) {
+  ++stats_.route_lookups;
+  return routes_.lookup(dst);
+}
+
+tcp::TcpConfig Host::effective_config(const RouteEntry* route,
                                       const tcp::TcpConfig& base) const {
   tcp::TcpConfig config = base;
-  config.initial_cwnd_segments =
-      routes_.effective_initcwnd(peer, base.initial_cwnd_segments);
-  config.initial_rwnd_segments =
-      routes_.effective_initrwnd(peer, base.initial_rwnd_segments);
+  if (route == nullptr) return config;
+  const RouteMetrics& metrics = route->metrics;
+  if (metrics.initcwnd_segments != 0) {
+    config.initial_cwnd_segments = metrics.initcwnd_segments;
+  }
+  if (metrics.initrwnd_segments != 0) {
+    config.initial_rwnd_segments = metrics.initrwnd_segments;
+  }
   // Route-programmed congestion control, consumed once at connect/accept
   // like the windows above (Linux reads the route's congctl the same way).
-  tcp::apply_route_cc(routes_.effective_cc(peer), config);
+  tcp::apply_route_cc(metrics.cc, config);
   return config;
 }
 
@@ -41,29 +50,40 @@ std::uint16_t Host::allocate_port() {
   return port;
 }
 
+Host::Socket::Socket(Host& owner, const tcp::FourTuple& tuple,
+                     const tcp::TcpConfig& config, const RouteEntry* route,
+                     tcp::TcpConnection::Callbacks callbacks)
+    : host(owner),
+      route(route),
+      route_generation(owner.routes_.generation()),
+      connection(owner.sim_, config, tuple, &Host::send_segment_thunk, this,
+                 std::move(callbacks)) {}
+
 tcp::TcpConnection& Host::create_connection(
     const tcp::FourTuple& tuple, const tcp::TcpConfig& config,
-    tcp::TcpConnection::Callbacks callbacks) {
-  auto conn = std::make_unique<tcp::TcpConnection>(
-      sim_, config, tuple, &Host::send_segment_thunk, this,
-      std::move(callbacks));
-  // Host-owned cleanup; survives any later set_callbacks by the app.
-  conn->set_teardown_hook([this, tuple] { schedule_removal(tuple); });
-  auto [it, inserted] = connections_.emplace(tuple, std::move(conn));
+    const RouteEntry* route, tcp::TcpConnection::Callbacks callbacks) {
+  auto [it, inserted] = connections_.try_emplace(tuple, *this, tuple, config,
+                                                 route, std::move(callbacks));
   if (!inserted) {
     throw std::logic_error("Host::create_connection: tuple already in use: " +
                            tuple.to_string());
   }
-  return *it->second;
+  if (demux_.empty()) demux_.resize(kDemuxSlots);
+  tcp::TcpConnection& conn = it->second.connection;
+  // Host-owned cleanup; survives any later set_callbacks by the app.
+  conn.set_teardown_hook([this, tuple] { schedule_removal(tuple); });
+  return conn;
 }
 
 void Host::schedule_removal(const tcp::FourTuple& tuple) {
   // Deferred: the connection object is still on the call stack.
   sim_.schedule(sim::Time::zero(), [this, tuple] {
     const auto it = connections_.find(tuple);
-    if (it != connections_.end() && it->second->closed()) {
-      closed_retransmissions_ += it->second->stats().retransmissions;
-      closed_timeouts_ += it->second->stats().timeouts;
+    if (it != connections_.end() && it->second.connection.closed()) {
+      closed_retransmissions_ += it->second.connection.stats().retransmissions;
+      closed_timeouts_ += it->second.connection.stats().timeouts;
+      DemuxSlot& slot = demux_[demux_index(tuple)];
+      if (slot.socket == &it->second) slot.socket = nullptr;
       connections_.erase(it);
     }
   });
@@ -71,16 +91,16 @@ void Host::schedule_removal(const tcp::FourTuple& tuple) {
 
 std::uint64_t Host::total_retransmissions() const {
   std::uint64_t total = closed_retransmissions_;
-  for (const auto& [tuple, conn] : connections_) {
-    total += conn->stats().retransmissions;
+  for (const auto& [tuple, socket] : connections_) {
+    total += socket.connection.stats().retransmissions;
   }
   return total;
 }
 
 std::uint64_t Host::total_timeouts() const {
   std::uint64_t total = closed_timeouts_;
-  for (const auto& [tuple, conn] : connections_) {
-    total += conn->stats().timeouts;
+  for (const auto& [tuple, socket] : connections_) {
+    total += socket.connection.stats().timeouts;
   }
   return total;
 }
@@ -90,7 +110,8 @@ tcp::TcpConnection& Host::connect(
     tcp::TcpConnection::Callbacks callbacks,
     std::optional<tcp::TcpConfig> override_config) {
   const tcp::TcpConfig base = override_config.value_or(default_config_);
-  const tcp::TcpConfig config = effective_config(dst, base);
+  const RouteEntry* route = lookup_route(dst);
+  const tcp::TcpConfig config = effective_config(route, base);
 
   tcp::FourTuple tuple{address_, allocate_port(), dst, dst_port};
   // Extremely long simulations can wrap the ephemeral space; skip over any
@@ -98,7 +119,7 @@ tcp::TcpConnection& Host::connect(
   while (connections_.contains(tuple)) tuple.local_port = allocate_port();
 
   ++stats_.connections_opened;
-  auto& conn = create_connection(tuple, config, std::move(callbacks));
+  auto& conn = create_connection(tuple, config, route, std::move(callbacks));
   conn.connect();
   return conn;
 }
@@ -113,11 +134,17 @@ void Host::close_listener(std::uint16_t port) { listeners_.erase(port); }
 
 void Host::send_segment_thunk(void* ctx, const tcp::FourTuple& tuple,
                               tcp::SegmentRef seg) {
-  static_cast<Host*>(ctx)->send_segment(tuple, std::move(seg));
+  Socket& socket = *static_cast<Socket*>(ctx);
+  socket.host.send_segment(socket, tuple, std::move(seg));
 }
 
-void Host::send_segment(const tcp::FourTuple& tuple, tcp::SegmentRef seg) {
-  const RouteEntry* route = routes_.lookup(tuple.remote_addr);
+void Host::send_segment(Socket& socket, const tcp::FourTuple& tuple,
+                        tcp::SegmentRef seg) {
+  if (socket.route_generation != routes_.generation()) {
+    socket.route = lookup_route(tuple.remote_addr);
+    socket.route_generation = routes_.generation();
+  }
+  const RouteEntry* route = socket.route;
   if (route == nullptr || route->device == nullptr) {
     ++stats_.no_route_drops;
     return;
@@ -132,7 +159,7 @@ void Host::send_segment(const tcp::FourTuple& tuple, tcp::SegmentRef seg) {
 }
 
 void Host::send_rst_for(const net::Packet& packet, const tcp::Segment& seg) {
-  const RouteEntry* route = routes_.lookup(packet.src);
+  const RouteEntry* route = lookup_route(packet.src);
   if (route == nullptr || route->device == nullptr) return;
   tcp::SegmentRef rst = tcp::SegmentPool::local().allocate();
   rst->src_port = seg.dst_port;
@@ -157,9 +184,8 @@ void Host::receive(const net::Packet& packet) {
 
   const tcp::FourTuple tuple{packet.dst, seg->dst_port, packet.src,
                              seg->src_port};
-  const auto it = connections_.find(tuple);
-  if (it != connections_.end()) {
-    it->second->on_segment(*seg);
+  if (Socket* socket = find_socket(tuple)) {
+    socket->connection.on_segment(*seg);
     return;
   }
 
@@ -167,9 +193,9 @@ void Host::receive(const net::Packet& packet) {
     const auto listener = listeners_.find(seg->dst_port);
     if (listener != listeners_.end()) {
       ++stats_.connections_accepted;
-      const tcp::TcpConfig config =
-          effective_config(packet.src, default_config_);
-      auto& conn = create_connection(tuple, config, {});
+      const RouteEntry* route = lookup_route(packet.src);
+      const tcp::TcpConfig config = effective_config(route, default_config_);
+      auto& conn = create_connection(tuple, config, route, {});
       listener->second(conn);
       conn.accept(*seg);
       return;
@@ -183,25 +209,46 @@ void Host::receive(const net::Packet& packet) {
 std::vector<SocketInfo> Host::socket_stats() const {
   std::vector<SocketInfo> out;
   out.reserve(connections_.size());
-  for (const auto& [tuple, conn] : connections_) {
+  for (const auto& [tuple, socket] : connections_) {
+    const tcp::TcpConnection& conn = socket.connection;
     SocketInfo info;
     info.tuple = tuple;
-    info.state = conn->state();
-    info.cwnd_segments = conn->cwnd_segments();
-    info.bytes_acked = conn->bytes_acked();
-    info.bytes_in_flight = conn->bytes_in_flight();
-    info.retransmissions = conn->stats().retransmissions;
-    info.segments_sent = conn->stats().segments_sent;
-    info.srtt = conn->srtt();
-    info.established_at = conn->established_at();
+    info.state = conn.state();
+    info.cwnd_segments = conn.cwnd_segments();
+    info.bytes_acked = conn.bytes_acked();
+    info.bytes_in_flight = conn.bytes_in_flight();
+    info.retransmissions = conn.stats().retransmissions;
+    info.segments_sent = conn.stats().segments_sent;
+    info.srtt = conn.srtt();
+    info.established_at = conn.established_at();
     out.push_back(info);
   }
   return out;
 }
 
 tcp::TcpConnection* Host::find_connection(const tcp::FourTuple& tuple) {
+  Socket* socket = find_socket(tuple);
+  return socket == nullptr ? nullptr : &socket->connection;
+}
+
+std::size_t Host::demux_index(const tcp::FourTuple& tuple) {
+  // The local address is the host's own on every received segment, so the
+  // index mixes only the remote address and both ports.
+  const std::uint64_t key = std::uint64_t{tuple.remote_addr.value()} << 32 |
+                            std::uint64_t{tuple.local_port} << 16 |
+                            tuple.remote_port;
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                  (64 - kDemuxBits));
+}
+
+Host::Socket* Host::find_socket(const tcp::FourTuple& tuple) {
+  if (demux_.empty()) return nullptr;  // no connection was ever created
+  DemuxSlot& slot = demux_[demux_index(tuple)];
+  if (slot.socket != nullptr && slot.tuple == tuple) return slot.socket;
   const auto it = connections_.find(tuple);
-  return it == connections_.end() ? nullptr : it->second.get();
+  if (it == connections_.end()) return nullptr;
+  slot = DemuxSlot{tuple, &it->second};
+  return &it->second;
 }
 
 }  // namespace riptide::host

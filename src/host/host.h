@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -45,6 +44,10 @@ struct HostStats {
   std::uint64_t no_connection_drops = 0;
   std::uint64_t connections_opened = 0;
   std::uint64_t connections_accepted = 0;
+  // Longest-prefix matches run: one per connect or accept, one per RST
+  // sent, and one per connection on its first segment after the routing
+  // table's set of prefixes changed. None per segment otherwise.
+  std::uint64_t route_lookups = 0;
 };
 
 // A simulated Linux server: single NIC, TCP demultiplexer, routing table
@@ -52,7 +55,9 @@ struct HostStats {
 //
 // Route metrics are consulted once per connection at setup time — for both
 // actively opened and accepted connections, exactly as the kernel does —
-// which is the hook Riptide exploits without touching the peer.
+// which is the hook Riptide exploits without touching the peer. The route
+// found then is also the one the connection's segments leave by, until the
+// routing table's prefixes change (RoutingTable::generation()).
 class Host : public net::PacketSink {
  public:
   // The accept hook runs before the SYN is processed so the application can
@@ -101,16 +106,44 @@ class Host : public net::PacketSink {
   std::uint64_t total_timeouts() const;
 
  private:
-  tcp::TcpConfig effective_config(net::Ipv4Address peer,
+  // One live connection and the route its segments leave by. It is the
+  // connections_ value; its node address (stable in an unordered_map) is
+  // the connection's sender context, so tcp/ sees no routes.
+  struct Socket {
+    Socket(Host& owner, const tcp::FourTuple& tuple,
+           const tcp::TcpConfig& config, const RouteEntry* route,
+           tcp::TcpConnection::Callbacks callbacks);
+
+    Host& host;
+    const RouteEntry* route;  // valid while route_generation is current
+    std::uint64_t route_generation;
+    tcp::TcpConnection connection;
+  };
+
+  // A direct-mapped cache in front of connections_ for the receive path:
+  // filled on a map hit, cleared when its socket is erased. Allocated with
+  // the first connection, so a host that never connects pays nothing.
+  struct DemuxSlot {
+    tcp::FourTuple tuple;
+    Socket* socket = nullptr;
+  };
+  static constexpr int kDemuxBits = 8;
+  static constexpr std::size_t kDemuxSlots = std::size_t{1} << kDemuxBits;
+  static std::size_t demux_index(const tcp::FourTuple& tuple);
+
+  const RouteEntry* lookup_route(net::Ipv4Address dst);
+  tcp::TcpConfig effective_config(const RouteEntry* route,
                                   const tcp::TcpConfig& base) const;
-  // TcpConnection::SegmentSender target: `ctx` is the owning Host.
+  Socket* find_socket(const tcp::FourTuple& tuple);
+  // TcpConnection::SegmentSender target: `ctx` is the connection's Socket.
   static void send_segment_thunk(void* ctx, const tcp::FourTuple& tuple,
                                  tcp::SegmentRef seg);
-  void send_segment(const tcp::FourTuple& tuple, tcp::SegmentRef seg);
+  void send_segment(Socket& socket, const tcp::FourTuple& tuple,
+                    tcp::SegmentRef seg);
   void send_rst_for(const net::Packet& packet, const tcp::Segment& seg);
-  tcp::TcpConnection& create_connection(const tcp::FourTuple& tuple,
-                                        const tcp::TcpConfig& config,
-                                        tcp::TcpConnection::Callbacks callbacks);
+  tcp::TcpConnection& create_connection(
+      const tcp::FourTuple& tuple, const tcp::TcpConfig& config,
+      const RouteEntry* route, tcp::TcpConnection::Callbacks callbacks);
   void schedule_removal(const tcp::FourTuple& tuple);
   std::uint16_t allocate_port();
 
@@ -121,9 +154,11 @@ class Host : public net::PacketSink {
   RoutingTable routes_;
   net::PacketSink* uplink_ = nullptr;
 
-  std::unordered_map<tcp::FourTuple, std::unique_ptr<tcp::TcpConnection>,
-                     tcp::FourTupleHash>
-      connections_;
+  // The owner of every live connection. Its iteration order is the order
+  // of socket_stats() rows, which the agent's observations and the
+  // fingerprints follow, so it stays an unordered_map with this hash.
+  std::unordered_map<tcp::FourTuple, Socket, tcp::FourTupleHash> connections_;
+  std::vector<DemuxSlot> demux_;
   std::unordered_map<std::uint16_t, AcceptHook> listeners_;
   std::uint16_t next_ephemeral_port_ = 32768;
   HostStats stats_;

@@ -7,49 +7,38 @@ namespace riptide::host {
 void RoutingTable::add_or_replace(const net::Prefix& prefix,
                                   net::PacketSink& device,
                                   RouteMetrics metrics) {
-  for (auto& entry : entries_) {
-    if (entry.prefix == prefix) {
-      entry.device = &device;
-      entry.metrics = metrics;
-      return;
-    }
+  if (Route* route = table_.find(prefix)) {
+    route->entry.device = &device;
+    route->entry.metrics = metrics;
+    return;
   }
-  entries_.push_back(RouteEntry{prefix, &device, metrics});
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [](const RouteEntry& a, const RouteEntry& b) {
-                     return a.prefix.length() > b.prefix.length();
-                   });
+  table_.insert_or_assign(
+      prefix, Route{RouteEntry{prefix, &device, metrics}, next_seq_++});
+  ++generation_;
 }
 
 bool RoutingTable::remove(const net::Prefix& prefix) {
-  const auto it = std::find_if(
-      entries_.begin(), entries_.end(),
-      [&](const RouteEntry& e) { return e.prefix == prefix; });
-  if (it == entries_.end()) return false;
-  entries_.erase(it);
+  if (!table_.erase(prefix)) return false;
+  ++generation_;
   return true;
 }
 
 bool RoutingTable::has_route(const net::Prefix& prefix) const {
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const RouteEntry& e) { return e.prefix == prefix; });
+  return table_.find(prefix) != nullptr;
 }
 
 const RouteEntry* RoutingTable::find_route(const net::Prefix& prefix) const {
-  const auto it = std::find_if(
-      entries_.begin(), entries_.end(),
-      [&](const RouteEntry& e) { return e.prefix == prefix; });
-  return it == entries_.end() ? nullptr : &*it;
+  const Route* route = table_.find(prefix);
+  return route == nullptr ? nullptr : &route->entry;
 }
 
 std::vector<RouteEntry> RoutingTable::learned_routes() const {
   std::vector<RouteEntry> learned;
-  learned.reserve(entries_.size());
-  for (const auto& entry : entries_) {
-    if (entry.prefix.length() == 0) continue;
-    if (entry.metrics.initcwnd_segments == 0) continue;
-    learned.push_back(entry);
-  }
+  table_.for_each([&](const net::Prefix& prefix, const Route& route) {
+    if (prefix.length() == 0) return;
+    if (route.entry.metrics.initcwnd_segments == 0) return;
+    learned.push_back(route.entry);
+  });
   std::sort(learned.begin(), learned.end(),
             [](const RouteEntry& a, const RouteEntry& b) {
               return net::PrefixOrder{}(a.prefix, b.prefix);
@@ -57,20 +46,33 @@ std::vector<RouteEntry> RoutingTable::learned_routes() const {
   return learned;
 }
 
+std::vector<RouteEntry> RoutingTable::entries() const {
+  std::vector<const Route*> routes;
+  routes.reserve(table_.size());
+  table_.for_each([&](const net::Prefix&, const Route& route) {
+    routes.push_back(&route);
+  });
+  std::sort(routes.begin(), routes.end(), [](const Route* a, const Route* b) {
+    if (a->entry.prefix.length() != b->entry.prefix.length()) {
+      return a->entry.prefix.length() > b->entry.prefix.length();
+    }
+    return a->seq < b->seq;
+  });
+  std::vector<RouteEntry> out;
+  out.reserve(routes.size());
+  for (const Route* route : routes) out.push_back(route->entry);
+  return out;
+}
+
 const RouteEntry* RoutingTable::lookup(net::Ipv4Address dst) const {
-  for (const auto& entry : entries_) {
-    if (entry.prefix.contains(dst)) return &entry;
-  }
-  return nullptr;
+  const Route* route = table_.lookup(dst);
+  return route == nullptr ? nullptr : &route->entry;
 }
 
 const RouteEntry* RoutingTable::lookup_excluding(
     net::Ipv4Address dst, const net::Prefix& excluded) const {
-  for (const auto& entry : entries_) {
-    if (entry.prefix == excluded) continue;
-    if (entry.prefix.contains(dst)) return &entry;
-  }
-  return nullptr;
+  const Route* route = table_.lookup_excluding(dst, excluded);
+  return route == nullptr ? nullptr : &route->entry;
 }
 
 std::uint32_t RoutingTable::effective_initcwnd(net::Ipv4Address dst,

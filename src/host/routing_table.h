@@ -6,6 +6,7 @@
 
 #include "net/ipv4.h"
 #include "net/packet.h"
+#include "net/prefix_table.h"
 #include "tcp/config.h"
 
 namespace riptide::host {
@@ -31,9 +32,10 @@ struct RouteEntry {
 };
 
 // A host routing table with longest-prefix-match semantics and `ip route`
-// style mutation. Lookups happen at connection setup only (as in Linux,
-// where the route's initcwnd is read once when the socket transmits its
-// SYN), so a linear scan over a sorted vector is plenty.
+// style mutation, over one net::PrefixTable. The host reads it once per
+// connection at setup (as in Linux, where the route's initcwnd is read
+// once when the socket transmits its SYN) and caches the matched entry,
+// revalidated against generation().
 class RoutingTable {
  public:
   // `ip route replace <prefix> ... initcwnd N initrwnd M`
@@ -75,12 +77,26 @@ class RoutingTable {
   // covering route carries one (host default applies).
   tcp::RouteCc effective_cc(net::Ipv4Address dst) const;
 
-  const std::vector<RouteEntry>& entries() const { return entries_; }
-  std::size_t size() const { return entries_.size(); }
+  // Every route, most specific first; routes of equal length in the order
+  // their prefixes were added (replacing one keeps its place).
+  std::vector<RouteEntry> entries() const;
+  std::size_t size() const { return table_.size(); }
+
+  // Changes whenever the set of prefixes does (a new prefix or a removal):
+  // only then can the match for an address change or a RouteEntry pointer
+  // from this table dangle. Replacing an existing prefix's device or
+  // metrics keeps both, so it leaves the generation alone.
+  std::uint64_t generation() const { return generation_; }
 
  private:
-  // Sorted by descending prefix length (most specific first).
-  std::vector<RouteEntry> entries_;
+  struct Route {
+    RouteEntry entry;
+    std::uint64_t seq = 0;  // insertion order, for entries()
+  };
+
+  net::PrefixTable<Route> table_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace riptide::host

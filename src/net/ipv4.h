@@ -49,10 +49,19 @@ class Prefix {
 
   Ipv4Address address() const { return address_; }
   int length() const { return length_; }
-  std::uint32_t mask() const;
+  std::uint32_t mask() const { return mask_of(length_); }
 
-  bool contains(Ipv4Address a) const;
-  bool contains(const Prefix& other) const;
+  // The netmask of a /length prefix. Precondition: 0 <= length <= 32.
+  static constexpr std::uint32_t mask_of(int length) {
+    return static_cast<std::uint32_t>(~std::uint64_t{0} << (32 - length));
+  }
+
+  bool contains(Ipv4Address a) const {
+    return (a.value() & mask()) == address_.value();
+  }
+  bool contains(const Prefix& other) const {
+    return other.length_ >= length_ && contains(other.address_);
+  }
 
   std::string to_string() const;
 

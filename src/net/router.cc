@@ -1,37 +1,18 @@
 #include "net/router.h"
 
-#include <algorithm>
-
 namespace riptide::net {
 
 void Router::add_route(const Prefix& prefix, PacketSink& next_hop) {
-  for (auto& route : routes_) {
-    if (route.prefix == prefix) {
-      route.next_hop = &next_hop;
-      return;
-    }
-  }
-  routes_.push_back(Route{prefix, &next_hop});
-  std::stable_sort(routes_.begin(), routes_.end(),
-                   [](const Route& a, const Route& b) {
-                     return a.prefix.length() > b.prefix.length();
-                   });
+  routes_.insert_or_assign(prefix, &next_hop);
 }
 
 bool Router::remove_route(const Prefix& prefix) {
-  const auto it = std::find_if(
-      routes_.begin(), routes_.end(),
-      [&](const Route& r) { return r.prefix == prefix; });
-  if (it == routes_.end()) return false;
-  routes_.erase(it);
-  return true;
+  return routes_.erase(prefix);
 }
 
 PacketSink* Router::lookup(Ipv4Address dst) const {
-  for (const auto& route : routes_) {
-    if (route.prefix.contains(dst)) return route.next_hop;
-  }
-  return nullptr;
+  PacketSink* const* next_hop = routes_.lookup(dst);
+  return next_hop == nullptr ? nullptr : *next_hop;
 }
 
 void Router::receive(const Packet& packet) {

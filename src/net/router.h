@@ -1,12 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "net/ipv4.h"
 #include "net/packet.h"
+#include "net/prefix_table.h"
 
 namespace riptide::net {
 
@@ -32,14 +31,8 @@ class Router : public PacketSink {
   std::size_t route_count() const { return routes_.size(); }
 
  private:
-  struct Route {
-    Prefix prefix;
-    PacketSink* next_hop;
-  };
-
   std::string name_;
-  // Sorted by descending prefix length so the first containing entry wins.
-  std::vector<Route> routes_;
+  PrefixTable<PacketSink*> routes_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t no_route_drops_ = 0;
 };

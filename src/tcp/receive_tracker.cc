@@ -22,6 +22,12 @@ bool ReceiveTracker::is_duplicate(std::uint64_t start, std::uint64_t end) const 
 std::uint64_t ReceiveTracker::on_segment(std::uint64_t start, std::uint64_t end) {
   if (end <= start || end <= rcv_nxt_) return 0;
   start = std::max(start, rcv_nxt_);
+  if (ooo_.empty() && start == rcv_nxt_) {
+    // In order with nothing buffered: the common case, without the
+    // insert-then-erase of a map node below.
+    rcv_nxt_ = end;
+    return end - start;
+  }
 
   // Merge [start, end) into the out-of-order set.
   auto it = ooo_.lower_bound(start);

@@ -88,6 +88,14 @@ echo "==== grammar suite (ASan/UBSan) ===="
 ctest --test-dir build-ci-asan -L grammar --output-on-failure \
   --timeout 300 -j "$JOBS"
 
+# The lookup label (the prefix table against a linear-scan reference,
+# routes changed mid-connection, a 4-tuple reopened after erase) re-runs
+# under the sanitizers: the host's demux cache and per-connection route
+# cache hold raw pointers into the connection map and the routing table.
+echo "==== lookup suite (ASan/UBSan) ===="
+ctest --test-dir build-ci-asan -L lookup --output-on-failure \
+  --timeout 300 -j "$JOBS"
+
 # Chaos campaign smoke (Release): a short seeded campaign end to end
 # through the CLI. A healthy tree must come back with zero findings; any
 # finding writes its minimized .min.spec next to the build for triage.

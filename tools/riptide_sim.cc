@@ -19,7 +19,8 @@
 //               [--chaos N] [--chaos-seed S] [--chaos-out DIR]
 //               [--repro FILE] [--help]
 //
-// --help prints the full flag reference (kHelpText below); docs/CLI.md is
+// --help prints the full flag reference (kHelpText below) and exits 0; a
+// bad flag prints the same text to stderr and exits 2. docs/CLI.md is
 // generated from it and tools/check_cli_docs.py keeps the two in sync.
 //
 // With --sweep-seeds, the same scenario is run once per seed — fanned
@@ -97,10 +98,10 @@ struct Options {
   cdn::ExperimentConfig config;
 };
 
-// The complete flag reference, printed by --help. Kept in one raw string
-// so tools/check_cli_docs.py can extract it straight from this source file
-// and diff it against docs/CLI.md — edit a flag here and the docs-lint CI
-// job fails until the doc is regenerated.
+// The complete flag reference, printed by --help and on a bad flag. Kept
+// in one raw string so tools/check_cli_docs.py can extract it straight
+// from this source file and diff it against docs/CLI.md — edit a flag here
+// and the docs-lint CI job fails until the doc is regenerated.
 constexpr const char* kHelpText = R"HELP(riptide_sim — simulated-CDN front end for the Riptide reproduction
 
 usage: riptide_sim [flags]
@@ -165,44 +166,8 @@ Misc:
   --help               print this reference and exit 0
 )HELP";
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--pops N] [--hosts N] [--duration S] [--seed S]\n"
-               "  [--riptide 0|1] [--cmax N] [--cmin N] [--alpha F]\n"
-               "  [--interval S] [--ttl S] [--combiner avg|max|weighted]\n"
-               "  [--prefix-granularity] [--probe-interval S]\n"
-               "  [--wan-loss P] [--organic POP_INDEX] [--pacing]\n"
-               "  [--cc reno|cubic|cubic-fast|bbr]\n"
-               "  [--threads N] [--sweep-seeds A,B,C]\n"
-               "  [--trace PATH.jsonl] [--trace-ring N]\n"
-               "  [--flow-traffic FLOWS_PER_SEC]\n"
-               "  [--policy NAME] [--hostile SPEC] [--faults SPEC]\n"
-               "  [--validate-only] [--chaos N] [--chaos-seed S]\n"
-               "  [--chaos-out DIR] [--repro FILE] [--help]\n"
-               "\n"
-               "  --policy NAME     initcwnd policy: default | static-iwN[@L]\n"
-               "                    | adaptive[-governed][@L] | oracle[@L]\n"
-               "                    (L = route prefix length, default 32;\n"
-               "                    overrides --riptide)\n"
-               "  --hostile SPEC    adversarial scenario: shallow-buffer |\n"
-               "                    incast | flash-crowd | combined, with\n"
-               "                    optional :key=val,... tuning (see\n"
-               "                    src/cdn/hostile.h)\n"
-               "  --faults SPEC     declarative fault plan (src/faults), e.g.\n"
-               "                    \"@5 down 0-1; @10 up 0-1\"\n"
-               "  --validate-only   parse --faults/--hostile/--policy, report\n"
-               "                    offending token + byte offset, exit 0/1\n"
-               "                    without running anything\n"
-               "  --chaos N         run an N-spec chaos-search campaign with\n"
-               "                    invariant oracles; minimized repro specs\n"
-               "                    land in --chaos-out (default \".\"); the\n"
-               "                    campaign is deterministic in --chaos-seed\n"
-               "  --repro FILE      replay one chaos spec file and report its\n"
-               "                    oracle violations (exit 1 when any fire)\n"
-               "  --flow-traffic F  fluid cross-traffic, F flows/sec per WAN\n"
-               "                    link (flow-level FCT model; probe flows\n"
-               "                    stay packet-level).\n",
-               argv0);
+[[noreturn]] void usage() {
+  std::fputs(kHelpText, stderr);
   std::exit(2);
 }
 
@@ -211,7 +176,7 @@ Misc:
 Options parse_flags(int argc, char** argv) {
   Options opt;
   auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage(argv[0]);
+    if (i + 1 >= argc) usage();
     return argv[++i];
   };
   // Numeric values go through the spec lexer's full-match readers, so
@@ -265,7 +230,7 @@ Options parse_flags(int argc, char** argv) {
       } else if (kind == "weighted") {
         opt.config.riptide.combiner = core::CombinerKind::kTrafficWeighted;
       } else {
-        usage(argv[0]);
+        usage();
       }
     } else if (arg == "--prefix-granularity") {
       opt.config.riptide.granularity = core::Granularity::kPrefix;
@@ -280,7 +245,7 @@ Options parse_flags(int argc, char** argv) {
       opt.config.topology.host_tcp.pacing = true;
     } else if (arg == "--cc") {
       tcp::RouteCc cc = tcp::RouteCc::kUnset;
-      if (!tcp::parse_route_cc(need_value(i), cc)) usage(argv[0]);
+      if (!tcp::parse_route_cc(need_value(i), cc)) usage();
       tcp::apply_route_cc(cc, opt.config.topology.host_tcp);
     } else if (arg == "--trace") {
       opt.config.trace.enabled = true;
@@ -316,7 +281,7 @@ Options parse_flags(int argc, char** argv) {
         opt.sweep_seeds.push_back(flag.u64(seed, 0, UINT64_MAX));
       }
     } else {
-      usage(argv[0]);
+      usage();
     }
   }
   return opt;
@@ -327,7 +292,7 @@ Options parse(int argc, char** argv) {
     return parse_flags(argc, argv);
   } catch (const std::invalid_argument& err) {
     std::fprintf(stderr, "%s\n", err.what());
-    usage(argv[0]);
+    usage();
   }
 }
 
@@ -470,20 +435,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--hostile: %s\n", err.what());
       return 2;
     }
-    if ((opt.config.hostile.kind == cdn::HostileKind::kIncast ||
-         opt.config.hostile.kind == cdn::HostileKind::kCombined) &&
-        opt.config.hostile.victim_pop >= opt.pops) {
+    if (!cdn::victim_pop_in_range(opt.config.hostile, opt.pops)) {
       std::fprintf(stderr, "--hostile: victim PoP %zu out of range [0, %zu)\n",
                    opt.config.hostile.victim_pop, opt.pops);
       return 2;
     }
-    if (opt.config.hostile.kind == cdn::HostileKind::kShallowBuffer ||
-        opt.config.hostile.kind == cdn::HostileKind::kCombined) {
-      // The shallow bottleneck is a topology property, not a traffic
-      // source: shrink the WAN queues before the world is built.
-      opt.config.topology.wan_queue_packets =
-          opt.config.hostile.queue_packets;
-    }
+    cdn::apply_shallow_buffer(opt.config.hostile,
+                              opt.config.topology.wan_queue_packets);
   }
 
   if (!opt.faults.empty()) {
