@@ -19,8 +19,9 @@
 //   connect_ns    - Host::connect to installed destinations: the one
 //                   route match plus connection set-up and the SYN
 //
-// One JSON row per size (JSONL, keyed by "workload") so tools/bench_diff.py
-// can diff two captures.
+// One perfbench-style {name, unit, value} row per measurement (JSONL,
+// named routescale.routes_<N>.<metric>), which tools/bench_diff.py keys by
+// name to diff two captures.
 
 #include <chrono>
 #include <cstddef>
@@ -131,14 +132,20 @@ inline void print_route_scale_json(const char* build_label) {
   for (std::size_t routes : {std::size_t{100}, std::size_t{10'000},
                              std::size_t{1'000'000}}) {
     const RouteScaleRow row = measure_route_scale(routes, checksum);
-    std::printf(
-        "{\"bench\":\"routescale\",\"workload\":\"routes_%zu\","
-        "\"build\":\"%s\",\"routes\":%zu,\"build_s\":%.4f,"
-        "\"lookup_ns\":%.2f,\"lookup_hot_ns\":%.2f,\"connect_ns\":%.1f}\n",
-        routes, build_label, row.routes, row.build_s, row.lookup_ns,
-        row.lookup_hot_ns, row.connect_ns);
+    const auto print = [routes](const char* metric, const char* unit,
+                                double value) {
+      std::printf(
+          "{\"name\":\"routescale.routes_%zu.%s\",\"unit\":\"%s\","
+          "\"value\":%.6g}\n",
+          routes, metric, unit, value);
+    };
+    print("routes", "count", static_cast<double>(row.routes));
+    print("build_s", "s", row.build_s);
+    print("lookup_ns", "ns", row.lookup_ns);
+    print("lookup_hot_ns", "ns", row.lookup_hot_ns);
+    print("connect_ns", "ns", row.connect_ns);
   }
-  std::fprintf(stderr, "routescale checksum %llu\n",
+  std::fprintf(stderr, "routescale (%s build) checksum %llu\n", build_label,
                static_cast<unsigned long long>(checksum));
 }
 

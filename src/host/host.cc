@@ -24,23 +24,6 @@ const RouteEntry* Host::lookup_route(net::Ipv4Address dst) {
   return routes_.lookup(dst);
 }
 
-tcp::TcpConfig Host::effective_config(const RouteEntry* route,
-                                      const tcp::TcpConfig& base) const {
-  tcp::TcpConfig config = base;
-  if (route == nullptr) return config;
-  const RouteMetrics& metrics = route->metrics;
-  if (metrics.initcwnd_segments != 0) {
-    config.initial_cwnd_segments = metrics.initcwnd_segments;
-  }
-  if (metrics.initrwnd_segments != 0) {
-    config.initial_rwnd_segments = metrics.initrwnd_segments;
-  }
-  // Route-programmed congestion control, consumed once at connect/accept
-  // like the windows above (Linux reads the route's congctl the same way).
-  tcp::apply_route_cc(metrics.cc, config);
-  return config;
-}
-
 std::uint16_t Host::allocate_port() {
   // Linux-style ephemeral range; skip ports that are still in use (e.g. a
   // lingering TIME-WAIT with the same peer would be caught at tuple insert).
@@ -68,7 +51,6 @@ tcp::TcpConnection& Host::create_connection(
     throw std::logic_error("Host::create_connection: tuple already in use: " +
                            tuple.to_string());
   }
-  if (demux_.empty()) demux_.resize(kDemuxSlots);
   tcp::TcpConnection& conn = it->second.connection;
   // Host-owned cleanup; survives any later set_callbacks by the app.
   conn.set_teardown_hook([this, tuple] { schedule_removal(tuple); });
@@ -82,8 +64,6 @@ void Host::schedule_removal(const tcp::FourTuple& tuple) {
     if (it != connections_.end() && it->second.connection.closed()) {
       closed_retransmissions_ += it->second.connection.stats().retransmissions;
       closed_timeouts_ += it->second.connection.stats().timeouts;
-      DemuxSlot& slot = demux_[demux_index(tuple)];
-      if (slot.socket == &it->second) slot.socket = nullptr;
       connections_.erase(it);
     }
   });
@@ -111,7 +91,7 @@ tcp::TcpConnection& Host::connect(
     std::optional<tcp::TcpConfig> override_config) {
   const tcp::TcpConfig base = override_config.value_or(default_config_);
   const RouteEntry* route = lookup_route(dst);
-  const tcp::TcpConfig config = effective_config(route, base);
+  const tcp::TcpConfig config = apply_route_metrics(route, base);
 
   tcp::FourTuple tuple{address_, allocate_port(), dst, dst_port};
   // Extremely long simulations can wrap the ephemeral space; skip over any
@@ -194,7 +174,7 @@ void Host::receive(const net::Packet& packet) {
     if (listener != listeners_.end()) {
       ++stats_.connections_accepted;
       const RouteEntry* route = lookup_route(packet.src);
-      const tcp::TcpConfig config = effective_config(route, default_config_);
+      const tcp::TcpConfig config = apply_route_metrics(route, default_config_);
       auto& conn = create_connection(tuple, config, route, {});
       listener->second(conn);
       conn.accept(*seg);
@@ -231,24 +211,9 @@ tcp::TcpConnection* Host::find_connection(const tcp::FourTuple& tuple) {
   return socket == nullptr ? nullptr : &socket->connection;
 }
 
-std::size_t Host::demux_index(const tcp::FourTuple& tuple) {
-  // The local address is the host's own on every received segment, so the
-  // index mixes only the remote address and both ports.
-  const std::uint64_t key = std::uint64_t{tuple.remote_addr.value()} << 32 |
-                            std::uint64_t{tuple.local_port} << 16 |
-                            tuple.remote_port;
-  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
-                                  (64 - kDemuxBits));
-}
-
 Host::Socket* Host::find_socket(const tcp::FourTuple& tuple) {
-  if (demux_.empty()) return nullptr;  // no connection was ever created
-  DemuxSlot& slot = demux_[demux_index(tuple)];
-  if (slot.socket != nullptr && slot.tuple == tuple) return slot.socket;
   const auto it = connections_.find(tuple);
-  if (it == connections_.end()) return nullptr;
-  slot = DemuxSlot{tuple, &it->second};
-  return &it->second;
+  return it == connections_.end() ? nullptr : &it->second;
 }
 
 }  // namespace riptide::host

@@ -120,20 +120,7 @@ class Host : public net::PacketSink {
     tcp::TcpConnection connection;
   };
 
-  // A direct-mapped cache in front of connections_ for the receive path:
-  // filled on a map hit, cleared when its socket is erased. Allocated with
-  // the first connection, so a host that never connects pays nothing.
-  struct DemuxSlot {
-    tcp::FourTuple tuple;
-    Socket* socket = nullptr;
-  };
-  static constexpr int kDemuxBits = 8;
-  static constexpr std::size_t kDemuxSlots = std::size_t{1} << kDemuxBits;
-  static std::size_t demux_index(const tcp::FourTuple& tuple);
-
   const RouteEntry* lookup_route(net::Ipv4Address dst);
-  tcp::TcpConfig effective_config(const RouteEntry* route,
-                                  const tcp::TcpConfig& base) const;
   Socket* find_socket(const tcp::FourTuple& tuple);
   // TcpConnection::SegmentSender target: `ctx` is the connection's Socket.
   static void send_segment_thunk(void* ctx, const tcp::FourTuple& tuple,
@@ -158,7 +145,6 @@ class Host : public net::PacketSink {
   // of socket_stats() rows, which the agent's observations and the
   // fingerprints follow, so it stays an unordered_map with this hash.
   std::unordered_map<tcp::FourTuple, Socket, tcp::FourTupleHash> connections_;
-  std::vector<DemuxSlot> demux_;
   std::unordered_map<std::uint16_t, AcceptHook> listeners_;
   std::uint16_t next_ephemeral_port_ = 32768;
   HostStats stats_;

@@ -4,6 +4,22 @@
 
 namespace riptide::host {
 
+tcp::TcpConfig apply_route_metrics(const RouteEntry* route,
+                                   tcp::TcpConfig base) {
+  if (route == nullptr) return base;
+  const RouteMetrics& metrics = route->metrics;
+  if (metrics.initcwnd_segments != 0) {
+    base.initial_cwnd_segments = metrics.initcwnd_segments;
+  }
+  if (metrics.initrwnd_segments != 0) {
+    base.initial_rwnd_segments = metrics.initrwnd_segments;
+  }
+  // Route-programmed congestion control, consumed once at connect/accept
+  // like the windows above (Linux reads the route's congctl the same way).
+  tcp::apply_route_cc(metrics.cc, base);
+  return base;
+}
+
 void RoutingTable::add_or_replace(const net::Prefix& prefix,
                                   net::PacketSink& device,
                                   RouteMetrics metrics) {
@@ -77,26 +93,21 @@ const RouteEntry* RoutingTable::lookup_excluding(
 
 std::uint32_t RoutingTable::effective_initcwnd(net::Ipv4Address dst,
                                                std::uint32_t fallback) const {
-  const RouteEntry* entry = lookup(dst);
-  if (entry == nullptr || entry->metrics.initcwnd_segments == 0) {
-    return fallback;
-  }
-  return entry->metrics.initcwnd_segments;
+  tcp::TcpConfig base;
+  base.initial_cwnd_segments = fallback;
+  return apply_route_metrics(lookup(dst), base).initial_cwnd_segments;
 }
 
 std::uint32_t RoutingTable::effective_initrwnd(net::Ipv4Address dst,
                                                std::uint32_t fallback) const {
-  const RouteEntry* entry = lookup(dst);
-  if (entry == nullptr || entry->metrics.initrwnd_segments == 0) {
-    return fallback;
-  }
-  return entry->metrics.initrwnd_segments;
+  tcp::TcpConfig base;
+  base.initial_rwnd_segments = fallback;
+  return apply_route_metrics(lookup(dst), base).initial_rwnd_segments;
 }
 
 tcp::RouteCc RoutingTable::effective_cc(net::Ipv4Address dst) const {
   const RouteEntry* entry = lookup(dst);
-  if (entry == nullptr) return tcp::RouteCc::kUnset;
-  return entry->metrics.cc;
+  return entry == nullptr ? tcp::RouteCc::kUnset : entry->metrics.cc;
 }
 
 }  // namespace riptide::host

@@ -31,6 +31,12 @@ struct RouteEntry {
   RouteMetrics metrics;
 };
 
+// The TcpConfig a connection over `route` starts with: `base` with the
+// route's metrics applied, each unset metric keeping base's value. The one
+// place the metrics rule lives; nullptr (no route) returns `base`.
+tcp::TcpConfig apply_route_metrics(const RouteEntry* route,
+                                   tcp::TcpConfig base);
+
 // A host routing table with longest-prefix-match semantics and `ip route`
 // style mutation, over one net::PrefixTable. The host reads it once per
 // connection at setup (as in Linux, where the route's initcwnd is read
@@ -67,7 +73,7 @@ class RoutingTable {
                                      const net::Prefix& excluded) const;
 
   // Effective initial windows for a destination: the most specific route's
-  // metric, or `fallback` where the metric is unset.
+  // metric, or `fallback` where the metric is unset (apply_route_metrics).
   std::uint32_t effective_initcwnd(net::Ipv4Address dst,
                                    std::uint32_t fallback) const;
   std::uint32_t effective_initrwnd(net::Ipv4Address dst,

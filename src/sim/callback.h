@@ -28,21 +28,18 @@ class Callback {
   Callback() noexcept = default;
   Callback(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
-  // True for the callables a Callback can be built from.
-  template <typename F, typename D = std::decay_t<F>>
-  static constexpr bool accepts =
-      !std::is_same_v<D, Callback> && std::is_invocable_r_v<void, D&>;
-
-  template <typename F, typename = std::enable_if_t<accepts<F>>>
+  template <typename F,
+            typename D = std::decay_t<F>,
+            typename = std::enable_if_t<!std::is_same_v<D, Callback> &&
+                                        std::is_invocable_r_v<void, D&>>>
   Callback(F&& f) {  // NOLINT(google-explicit-constructor)
-    construct(std::forward<F>(f));
-  }
-
-  // Replaces the target with `f`, built in place (no relocation).
-  template <typename F, typename = std::enable_if_t<accepts<F>>>
-  void emplace(F&& f) {
-    reset();
-    construct(std::forward<F>(f));
+    if constexpr (stored_inline<D>) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else {
+      heap_ = new D(std::forward<F>(f));
+      ops_ = &kHeapOps<D>;
+    }
   }
 
   Callback(Callback&& other) noexcept { move_from(other); }
@@ -113,17 +110,6 @@ class Callback {
                                   &relocate_inline<F>};
   template <typename F>
   static constexpr Ops kHeapOps{&invoke_heap<F>, &destroy_heap<F>, nullptr};
-
-  template <typename F, typename D = std::decay_t<F>>
-  void construct(F&& f) {
-    if constexpr (stored_inline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      heap_ = new D(std::forward<F>(f));
-      ops_ = &kHeapOps<D>;
-    }
-  }
 
   void* target() noexcept {
     return ops_->relocate ? static_cast<void*>(buf_) : heap_;

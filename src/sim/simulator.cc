@@ -83,10 +83,8 @@ std::uint32_t Simulator::acquire_slot() {
     free_slots_.pop_back();
     return slot;
   }
-  if (nodes_.size() == data_.size() * kDataChunk) {
-    data_.push_back(std::make_unique<EventData[]>(kDataChunk));
-  }
   nodes_.emplace_back();
+  data_.emplace_back();
   return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
 
@@ -100,9 +98,9 @@ void Simulator::release_node(std::uint32_t slot) {
 }
 
 void Simulator::release_slot(std::uint32_t slot) {
-  EventData& event = data(slot);
-  event.cb.reset();
-  event.interval = Time::zero();
+  EventData& data = data_[slot];
+  data.cb.reset();
+  data.interval = Time::zero();
   release_node(slot);
 }
 
@@ -224,10 +222,10 @@ void Simulator::cancel_event(std::uint32_t slot, std::uint32_t gen) {
   EventNode& node = nodes_[slot];
   if (in_flight_ && in_flight_slot_ == slot && in_flight_gen_ == gen) {
     // The callback cancelled its own (periodic) event: it has no queue
-    // presence right now, and it is still running, so the dispatch loop
-    // destroys it and reclaims the slot once it returns.
+    // presence right now; the dispatch loop reclaims the slot.
     ++node.gen;
-    data(slot).interval = Time::zero();
+    data_[slot].cb.reset();
+    data_[slot].interval = Time::zero();
     return;
   }
   --live_;
@@ -243,8 +241,8 @@ void Simulator::cancel_event(std::uint32_t slot, std::uint32_t gen) {
     // dies in place and is reclaimed when it surfaces (or scrubbed when
     // zombies outnumber live entries).
     ++node.gen;
-    data(slot).cb.reset();
-    data(slot).interval = Time::zero();
+    data_[slot].cb.reset();
+    data_[slot].interval = Time::zero();
     node.where = kWhereNone;
     --overflow_live_;
     ++overflow_dead_;
@@ -255,8 +253,8 @@ void Simulator::cancel_event(std::uint32_t slot, std::uint32_t gen) {
   // The run-list entry's generation check skips it and reclaims the slot.
   assert(node.where == kWhereRun);
   ++node.gen;
-  data(slot).cb.reset();
-  data(slot).interval = Time::zero();
+  data_[slot].cb.reset();
+  data_[slot].interval = Time::zero();
   node.where = kWhereNone;
 }
 
@@ -281,32 +279,21 @@ void Simulator::maybe_scrub_overflow() {
   overflow_dead_ = 0;
 }
 
-void Simulator::check_delay(Time delay) const {
+EventHandle Simulator::schedule(Time delay, Callback cb) {
   if (delay < Time::zero()) {
     throw std::invalid_argument("Simulator::schedule: negative delay");
   }
-}
-
-void Simulator::check_when(Time when) const {
-  if (when < now_) {
-    throw std::invalid_argument("Simulator::schedule_at: time in the past");
-  }
-}
-
-EventHandle Simulator::schedule(Time delay, Callback cb) {
-  check_delay(delay);
   return schedule_at(now_ + delay, std::move(cb));
 }
 
 EventHandle Simulator::schedule_at(Time when, Callback cb) {
-  check_when(when);
+  if (when < now_) {
+    throw std::invalid_argument("Simulator::schedule_at: time in the past");
+  }
   const std::uint32_t slot = acquire_slot();
-  data(slot).cb = std::move(cb);
-  return enqueue(slot, when);
-}
-
-EventHandle Simulator::enqueue(std::uint32_t slot, Time when) {
-  data(slot).interval = Time::zero();
+  EventData& data = data_[slot];
+  data.cb = std::move(cb);
+  data.interval = Time::zero();
   EventNode& node = nodes_[slot];
   node.when = static_cast<std::uint64_t>(when.ns());
   node.seq = next_seq_++;
@@ -325,9 +312,9 @@ EventHandle Simulator::schedule_periodic(Time initial_delay, Time interval,
         "Simulator::schedule_periodic: negative initial delay");
   }
   const std::uint32_t slot = acquire_slot();
-  EventData& event = data(slot);
-  event.cb = std::move(cb);
-  event.interval = interval;
+  EventData& data = data_[slot];
+  data.cb = std::move(cb);
+  data.interval = interval;
   EventNode& node = nodes_[slot];
   node.when = static_cast<std::uint64_t>((now_ + initial_delay).ns());
   node.seq = next_seq_++;
@@ -569,12 +556,12 @@ std::uint64_t Simulator::dispatch_bucket(std::uint64_t tick) {
     node.where = kWhereNone;  // prev/next are already kNil (lone head)
     const std::uint32_t gen = node.gen;
     --live_;
-    EventData& event = data(slot);  // stays put while the callback runs
+    Callback cb = std::move(data_[slot].cb);
     in_flight_ = true;
     in_flight_slot_ = slot;
     in_flight_gen_ = gen;
     try {
-      event.cb();
+      cb();
     } catch (...) {
       in_flight_ = false;
       dispatching_ = false;
@@ -586,13 +573,15 @@ std::uint64_t Simulator::dispatch_bucket(std::uint64_t tick) {
     ++executed_;
     ++ran;
     EventNode& after = nodes_[slot];  // the callback may have grown the slab
-    if (after.gen == gen && event.interval > Time::zero()) {
-      after.when = tick + static_cast<std::uint64_t>(event.interval.ns());
+    if (after.gen == gen && data_[slot].interval > Time::zero()) {
+      data_[slot].cb = std::move(cb);
+      after.when =
+          tick + static_cast<std::uint64_t>(data_[slot].interval.ns());
       after.seq = next_seq_++;
       ++live_;
       insert_event(slot);
     } else {
-      release_slot(slot);
+      release_node(slot);
     }
   } else {
     while (slot != kNil) {
@@ -621,14 +610,15 @@ std::uint64_t Simulator::dispatch_bucket(std::uint64_t tick) {
     }
     --live_;
     nodes_[entry.slot].where = kWhereNone;
-    // Invoked in place: the data store never moves an entry, and a
-    // callback that cancels its own series only marks it (cancel_event).
-    EventData& event = data(entry.slot);
+    // Move the callback out before invoking: the callback may schedule
+    // new events and grow/reallocate the slab, and a periodic callback
+    // may cancel its own series.
+    Callback cb = std::move(data_[entry.slot].cb);
     in_flight_ = true;
     in_flight_slot_ = entry.slot;
     in_flight_gen_ = entry.gen;
     try {
-      event.cb();
+      cb();
     } catch (...) {
       in_flight_ = false;
       dispatching_ = false;
@@ -640,17 +630,21 @@ std::uint64_t Simulator::dispatch_bucket(std::uint64_t tick) {
     ++executed_;
     ++ran;
 
-    // Re-read the node: the callback may have grown the node slab.
+    // Re-read through the vectors: the callback may have grown the slab.
     EventNode& node = nodes_[entry.slot];
-    if (node.gen == entry.gen && event.interval > Time::zero()) {
+    if (node.gen == entry.gen && data_[entry.slot].interval > Time::zero()) {
       // Periodic and not cancelled: the slot (and handle) stay live.
-      node.when = tick + static_cast<std::uint64_t>(event.interval.ns());
+      data_[entry.slot].cb = std::move(cb);
+      node.when =
+          tick + static_cast<std::uint64_t>(data_[entry.slot].interval.ns());
       node.seq = next_seq_++;
       ++live_;
       insert_event(entry.slot);
     } else {
       // One-shot completion, or the callback cancelled its own series.
-      release_slot(entry.slot);
+      // The moved-out callback destructs here; only the node needs
+      // recycling.
+      release_node(entry.slot);
     }
   }
   dispatching_ = false;
@@ -686,8 +680,8 @@ void Simulator::drop_pending() {
     node.prev = kNil;
     node.next = kNil;
     node.where = kWhereNone;
-    data(slot).cb.reset();
-    data(slot).interval = Time::zero();
+    data_[slot].cb.reset();
+    data_[slot].interval = Time::zero();
     free_slots_.push_back(slot);
   }
   // Destroying the callbacks released their SegmentRefs; nothing else in

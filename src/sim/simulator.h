@@ -3,9 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <cstddef>
-#include <memory>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "sim/callback.h"
@@ -79,26 +76,6 @@ class Simulator {
   // Schedules `cb` to run at now() + delay. Precondition: delay >= 0.
   EventHandle schedule(Time delay, Callback cb);
   EventHandle schedule_at(Time when, Callback cb);
-
-  // The same for any callable, built straight into its event slot instead
-  // of being moved there from a Callback.
-  template <typename F, typename = std::enable_if_t<Callback::accepts<F>>>
-  EventHandle schedule(Time delay, F&& f) {
-    check_delay(delay);
-    return schedule_at(now_ + delay, std::forward<F>(f));
-  }
-  template <typename F, typename = std::enable_if_t<Callback::accepts<F>>>
-  EventHandle schedule_at(Time when, F&& f) {
-    check_when(when);
-    const std::uint32_t slot = acquire_slot();
-    try {
-      data(slot).cb.emplace(std::forward<F>(f));
-    } catch (...) {
-      free_slots_.push_back(slot);
-      throw;
-    }
-    return enqueue(slot, when);
-  }
 
   // Schedules `cb` every `interval`, starting at now() + initial_delay.
   // The returned handle cancels all future firings (including from inside
@@ -221,13 +198,6 @@ class Simulator {
     std::uint32_t gen;
   };
 
-  void check_delay(Time delay) const;
-  void check_when(Time when) const;
-  // Queues the one-shot event in `slot`, whose callback is already set.
-  EventHandle enqueue(std::uint32_t slot, Time when);
-  EventData& data(std::uint32_t slot) {
-    return data_[slot >> kDataChunkBits][slot & (kDataChunk - 1)];
-  }
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void release_node(std::uint32_t slot);
@@ -276,12 +246,7 @@ class Simulator {
   std::uint64_t pend_promotions_ = 0;
   std::uint64_t pend_buckets_ = 0;
   std::vector<EventNode> nodes_;  // hot intrusive nodes, indexed by slot
-  // Cold callback/interval, same indexing, in fixed-size chunks so that an
-  // entry never moves: dispatch runs a callback where it lies, and the
-  // callback may schedule (and so grow this store) while it runs.
-  static constexpr int kDataChunkBits = 8;
-  static constexpr std::size_t kDataChunk = std::size_t{1} << kDataChunkBits;
-  std::vector<std::unique_ptr<EventData[]>> data_;
+  std::vector<EventData> data_;   // cold callback/interval, same indexing
   std::vector<std::uint32_t> free_slots_;
   std::array<std::uint32_t, kWheelBuckets> heads_;
   // Occupancy for the wide levels 0 and 1 is a two-level bitmap over

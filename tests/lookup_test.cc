@@ -1,7 +1,7 @@
 // Route and socket lookup: net::PrefixTable against a linear-scan
 // reference, the host's per-connection route cache (one prefix match per
-// connect, revalidated by the routing table's generation), and the demux
-// cache in front of the connection map.
+// connect, revalidated by the routing table's generation), and a 4-tuple
+// reopened after its connection was erased.
 
 #include <gtest/gtest.h>
 
@@ -238,7 +238,7 @@ TEST(HostRouteCacheTest, RouteChangedMidConnectionCarriesTheNextSegment) {
   EXPECT_EQ(replaced.packets, 1);
 }
 
-TEST(HostDemuxCacheTest, ReopenedTupleDeliversToTheNewConnection) {
+TEST(HostDemuxTest, ReopenedTupleDeliversToTheNewConnection) {
   // Two clients share one address, so the second one's first ephemeral
   // port recreates the 4-tuple b saw for the first connection.
   sim::Simulator sim;

@@ -12,9 +12,10 @@ reporting tool, not a gate; CI uploads the table as an artifact and humans
 judge the deltas.
 
 Inputs may be a single JSON document or JSONL (one object per line, the
-shape `bench_micro --queue-json` emits). JSONL rows are keyed by their
-"workload" field (falling back to "bench"/line number) so the same workload
-diffs against itself across captures.
+shape `bench_micro --queue-json` emits). A JSONL row in perfbench's
+{name, unit, value} metric shape is the one metric `name`; other rows are
+keyed by their "workload" field (falling back to "bench"/line number) so
+the same workload diffs against itself across captures.
 
 Usage:
     tools/bench_diff.py before.json after.json [--only PREFIX]
@@ -80,6 +81,9 @@ def load(path: str) -> Dict[str, float]:
         row = json.loads(line)
         key = f"line{i}"
         if isinstance(row, dict):
+            if "name" in row and "value" in row:
+                out.update(flatten(row["value"], str(row["name"])))
+                continue
             key = str(row.get("workload") or row.get("bench") or key)
         out.update(flatten(row, key))
     return out

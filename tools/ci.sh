@@ -90,8 +90,8 @@ ctest --test-dir build-ci-asan -L grammar --output-on-failure \
 
 # The lookup label (the prefix table against a linear-scan reference,
 # routes changed mid-connection, a 4-tuple reopened after erase) re-runs
-# under the sanitizers: the host's demux cache and per-connection route
-# cache hold raw pointers into the connection map and the routing table.
+# under the sanitizers: each connection's cached route is a raw pointer
+# into the routing table.
 echo "==== lookup suite (ASan/UBSan) ===="
 ctest --test-dir build-ci-asan -L lookup --output-on-failure \
   --timeout 300 -j "$JOBS"
@@ -110,6 +110,14 @@ echo "==== event-queue throughput (Release) ===="
   | tee build-ci-release/BENCH_eventwheel.ci.json
 python3 tools/bench_diff.py BENCH_eventwheel.json \
   build-ci-release/BENCH_eventwheel.ci.json || true
+
+# Route-table scale bench diff (informational, never a gate): lookup and
+# connect cost at 10^2, 10^4 and 10^6 routes.
+echo "==== route-table scale (Release) ===="
+./build-ci-release/bench/bench_micro --routescale-json \
+  > build-ci-release/BENCH_routescale.ci.json
+python3 tools/bench_diff.py BENCH_routescale.json \
+  build-ci-release/BENCH_routescale.ci.json || true
 
 # Hotpath bench diff (informational, never a gate): zero baselines render
 # as "n/a" rows, and bench_diff.py always exits 0 — `|| true` guards only
